@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import random
 import sys
 from typing import Optional, Sequence
 
@@ -39,8 +37,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tamedeg", description=__doc__)
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for any randomized work (reproducibility)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decide", help="classify a candidate multidegree")
@@ -52,8 +48,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("enumerate", help="classify all triples up to a bound")
     p.add_argument("--max", type=int, required=True, dest="max_d3")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--jobs", type=int,
-                   default=int(os.environ.get("TAMEMDEG_JOBS", "1")))
 
     p = sub.add_parser("semigroup", help="two-generator semigroup queries")
     p.add_argument("generators", type=int, nargs=2, metavar="d")
@@ -118,38 +112,25 @@ def _cmd_decide(args) -> int:
     return _STATUS_EXIT[result.status]
 
 
-def _classify_row(triple):
-    c = classify(*triple)
-    return (c.sorted_mdeg, c.status.value, c.rule, c.original)
-
-
 def _cmd_enumerate(args) -> int:
     if args.max_d3 < 1:
         raise _UsageError("--max must be >= 1")
-    triples = [(a, b, c)
-               for a in range(1, args.max_d3 + 1)
-               for b in range(a, args.max_d3 + 1)
-               for c in range(b, args.max_d3 + 1)]
-    if args.jobs > 1:
-        import concurrent.futures
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            rows = list(pool.map(_classify_row, triples, chunksize=64))
-    else:
-        rows = [_classify_row(t) for t in triples]
-    if args.format == "json":
-        print(json.dumps([
-            {"sorted": list(s), "status": status, "rule": rule,
-             "original": list(orig)}
-            for s, status, rule, orig in rows], indent=2))
-    else:
+    counts: dict[str, int] = {}
+    rows = []
+    if args.format == "csv":
         print("d1,d2,d3,status,rule,original")
-        for s, status, rule, orig in rows:
-            rule_csv = rule.replace('"', "'")
+    for c in enumerate_classifications(args.max_d3):
+        s, status, orig = c.sorted_mdeg, c.status.value, c.original
+        counts[status] = counts.get(status, 0) + 1
+        if args.format == "json":
+            rows.append({"sorted": list(s), "status": status, "rule": c.rule,
+                         "original": list(orig)})
+        else:
+            rule_csv = c.rule.replace('"', "'")
             print(f'{s[0]},{s[1]},{s[2]},{status},"{rule_csv}",'
                   f'{orig[0]} {orig[1]} {orig[2]}')
-    counts: dict[str, int] = {}
-    for _, status, _, _ in rows:
-        counts[status] = counts.get(status, 0) + 1
+    if args.format == "json":
+        print(json.dumps(rows, indent=2))
     print("# " + " ".join(f"{k}={v}" for k, v in sorted(counts.items())),
           file=sys.stderr)
     return 0
@@ -217,7 +198,8 @@ def _cmd_analyze2(args) -> int:
         "factor_degrees": dec.factor_degrees,
     }
     if args.inverse:
-        payload["inverse"] = dec.inverse_map().to_json()
+        inv = dec.inverse_map()
+        payload["inverse"] = inv.to_json()
     if args.decompose:
         payload["l1"] = dec.l1.map.to_json()
         payload["factors"] = [f.map.to_json() for f in dec.factors]
@@ -227,7 +209,6 @@ def _cmd_analyze2(args) -> int:
     else:
         print(f"length {dec.length}, factor degrees {dec.factor_degrees}")
         if args.inverse:
-            inv = dec.inverse_map()
             print(f"inverse: {inv} (mdeg {inv.mdeg()})")
         if args.decompose:
             print(f"L1: {dec.l1.map}")
@@ -266,7 +247,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    random.seed(args.seed)
     handlers = {
         "decide": _cmd_decide,
         "enumerate": _cmd_enumerate,

@@ -42,26 +42,6 @@ def mat_vec(rows: Sequence[Sequence], vec: Sequence) -> list[Fraction]:
             for row in rows]
 
 
-def determinant(rows: Sequence[Sequence]) -> Fraction:
-    a = _frac_rows(rows)
-    n = len(a)
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv_p = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] * inv_p
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return det
-
-
 def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> Optional[list[Fraction]]:
     """One exact solution of A x = b (free variables set to 0), or None."""
     a = _frac_rows(rows)

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import linalg
 from .poly import DimensionMismatch, Polynomial, default_varnames, format_poly, parse_poly
-from .linalg import SingularMatrixError
 
 
 @dataclass(frozen=True)
@@ -44,9 +43,6 @@ class PolyMap:
 
     def deg(self):
         return max(self.mdeg())
-
-    def linear_part(self) -> "PolyMap":
-        return PolyMap(tuple(c.homogeneous_part(1) for c in self.components))
 
     def jacobian_determinant(self) -> Polynomial:
         n = self.n
@@ -80,9 +76,20 @@ class PolyMap:
 
     @classmethod
     def from_json(cls, data: dict) -> "PolyMap":
-        n = data["n"]
-        varnames = data.get("vars") or default_varnames(n)
-        comps = [parse_poly(s, varnames) for s in data["components"]]
+        """Parse the map JSON shape; anything else raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError("map JSON must be an object")
+        n, comps, varnames = data.get("n"), data.get("components"), data.get("vars")
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ValueError("map JSON needs an integer 'n'")
+        if not isinstance(comps, list) or not all(isinstance(c, str) for c in comps):
+            raise ValueError("map JSON needs 'components', a list of strings")
+        if varnames is not None and not (
+                isinstance(varnames, list) and len(varnames) == n
+                and all(isinstance(v, str) for v in varnames)):
+            raise ValueError("map JSON 'vars' must be a list of n strings")
+        varnames = varnames or default_varnames(n)
+        comps = [parse_poly(s, varnames) for s in comps]
         if len(comps) != n:
             raise ValueError("component count differs from declared n")
         return cls(tuple(comps))

@@ -9,12 +9,11 @@ subtraction; failure certifies that the input is not an automorphism.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
-from typing import Optional
 
 from .bracket import is_power_proportional
+from .linalg import SingularMatrixError
 from .maps import Factor, PolyMap, affine, compose_all, elementary, identity, swap
-from .poly import NEG_INF, Polynomial
+from .poly import Polynomial
 
 
 class NotKellerError(ValueError):
@@ -45,6 +44,18 @@ class Decomposition:
         return compose_all(chain)
 
     def inverse_map(self) -> PolyMap:
+        """Exact inverse via factor inverses.
+
+        ``peel`` already certifies that the decomposition recomposes to the
+        input; checking each factor's inverse individually (cheap, low degree)
+        then certifies the whole inverse by telescoping, without ever forming
+        the huge composition F . F^{-1}.
+        """
+        ident = identity(2)
+        for factor in [self.l1, *self.factors, self.l2]:
+            if factor.map.compose(factor.inverse) != ident:
+                raise AssertionError("factor inverse verification failed "
+                                     "(internal bug)")
         chain = [self.l1.inverse] + [f.inverse for f in self.factors] + [self.l2.inverse]
         return compose_all(chain)
 
@@ -80,15 +91,28 @@ def peel(f_map: PolyMap) -> Decomposition:
 
     Raises NotKellerError when the Jacobian determinant is not a nonzero
     constant, and PeelStuckError when a leading-form step fails -- either way
-    the input is certifiably not an automorphism.
+    the input is certifiably not an automorphism.  The Jacobian is computed
+    only once peeling has failed: a successful peel ends with the exact check
+    that the decomposition recomposes to the input, which implies it.
     """
     if f_map.n != 2:
         raise ValueError("peel expects a 2-dimensional map")
-    jac = f_map.jacobian_determinant()
-    if jac.is_zero() or not jac.is_constant():
-        raise NotKellerError(
-            f"Jacobian determinant is {jac}, not a nonzero constant")
+    try:
+        dec = _peel_chain(f_map)
+    except (PeelStuckError, SingularMatrixError):
+        # a singular affine end, e.g. (x, x), raises SingularMatrixError
+        jac = f_map.jacobian_determinant()
+        if jac.is_zero() or not jac.is_constant():
+            raise NotKellerError(
+                f"Jacobian determinant is {jac}, not a nonzero constant") from None
+        raise
+    if dec.compose() != f_map:
+        raise AssertionError("decomposition does not recompose (internal bug)")
+    return dec
 
+
+def _peel_chain(f_map: PolyMap) -> Decomposition:
+    """The decomposition that leading-form peeling finds, not yet checked."""
     swp = swap(2, 0, 1)
     raw_head: list = []  # leading affine pieces ('aff' or 'swap')
     raw_tris: list[Polynomial] = []  # f_i in variable x, all of form (x, y+f(x))
@@ -101,6 +125,8 @@ def peel(f_map: PolyMap) -> Decomposition:
             raise AssertionError("peeling failed to terminate (internal bug)")
         p, q = g.components
         dp, dq = p.total_degree(), q.total_degree()
+        if min(dp, dq) < 1:
+            raise PeelStuckError("constant or zero component while peeling")
         if dp == dq:
             # equal top degrees: leading forms must be proportional
             prop = is_power_proportional(p.leading_form(), q.leading_form())
@@ -139,8 +165,6 @@ def peel(f_map: PolyMap) -> Decomposition:
                                  "(not an automorphism)")
         raw_tris.append(f_acc)
         g = PolyMap((p, rem))
-        if rem.total_degree() == NEG_INF:
-            raise PeelStuckError("component vanished while peeling")
 
     l1_raw = _as_affine_factor(g)
     head_maps = [item[1] for item in raw_head]
@@ -150,7 +174,7 @@ def peel(f_map: PolyMap) -> Decomposition:
             if head_maps else l1_raw.map
         aff = _as_affine_factor(head)
         ident = _as_affine_factor(identity(2))
-        dec = Decomposition(aff, [], ident, [])
+        return Decomposition(aff, [], ident, [])
     else:
         # raw chain: A? (T S)*(l-1) T L1 with every T of form (x, y+f(x)).
         # Re-indexing from the right and conjugating every odd-indexed T by the
@@ -163,39 +187,18 @@ def peel(f_map: PolyMap) -> Decomposition:
             form = 2 if i % 2 == 1 else 1
             factors.append(_tri_factor(f_of_x, form))
         # A = composition of everything before the first T (swaps and fixes)
-        a_maps = []
         seen_tri_boundary = len(raw_head) - (l - 1)  # interior swaps: l-1 of them
         a_items = raw_head[:seen_tri_boundary]
         a_map = compose_all([it[1].map for it in a_items]) if a_items else identity(2)
         l2_map = a_map.compose(swp.map) if l % 2 == 1 else a_map
         l1_map = swp.map.compose(l1_raw.map)
-        dec = Decomposition(_as_affine_factor(l1_map), factors,
-                            _as_affine_factor(l2_map),
-                            [int(f.total_degree()) for f in raw_tris[::-1]])
-    if dec.compose() != f_map:
-        raise AssertionError("decomposition does not recompose (internal bug)")
-    return dec
+        return Decomposition(_as_affine_factor(l1_map), factors,
+                             _as_affine_factor(l2_map),
+                             [int(f.total_degree()) for f in raw_tris[::-1]])
 
 
 def length_of(f_map: PolyMap) -> int:
     return peel(f_map).length
-
-
-def inverse(f_map: PolyMap) -> PolyMap:
-    """Exact inverse via factor inverses.
-
-    ``peel`` already certifies that the decomposition recomposes to the input;
-    checking each factor's inverse individually (cheap, low degree) then
-    certifies the whole inverse by telescoping, without ever forming the
-    huge composition F . F^{-1}.
-    """
-    dec = peel(f_map)
-    ident = identity(2)
-    for factor in [dec.l1, *dec.factors, dec.l2]:
-        if factor.map.compose(factor.inverse) != ident:
-            raise AssertionError("factor inverse verification failed "
-                                 "(internal bug)")
-    return dec.inverse_map()
 
 
 def omega(k: int) -> int:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 NEG_INF = float("-inf")
 
@@ -64,9 +64,19 @@ class Polynomial:
                     clean[exps] = c
                 else:
                     del clean[exps]
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
+        Polynomial._make(n, clean, self)
+
+    @classmethod
+    def _make(cls, n: int, terms: dict, res: "Polynomial | None" = None) -> "Polynomial":
+        """The one place a Polynomial's fields are set.  ``terms`` must already
+        be clean: exponent tuples of length ``n`` mapped to nonzero Fractions.
+        ``res`` is an instance under ``__init__``; omitted, a new one is made."""
+        if res is None:
+            res = cls.__new__(cls)
+        object.__setattr__(res, "n", n)
+        object.__setattr__(res, "terms", terms)
+        object.__setattr__(res, "_hash", None)
+        return res
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -150,20 +160,12 @@ class Polynomial:
                 out[exps] = s
             elif acc is not None:
                 del out[exps]
-        res = Polynomial.__new__(Polynomial)
-        object.__setattr__(res, "n", self.n)
-        object.__setattr__(res, "terms", out)
-        object.__setattr__(res, "_hash", None)
-        return res
+        return Polynomial._make(self.n, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        res = Polynomial.__new__(Polynomial)
-        object.__setattr__(res, "n", self.n)
-        object.__setattr__(res, "terms", {e: -c for e, c in self.terms.items()})
-        object.__setattr__(res, "_hash", None)
-        return res
+        return Polynomial._make(self.n, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -179,11 +181,7 @@ class Polynomial:
         c = _as_fraction(c)
         if not c:
             return Polynomial.zero(self.n)
-        res = Polynomial.__new__(Polynomial)
-        object.__setattr__(res, "n", self.n)
-        object.__setattr__(res, "terms", {e: c * v for e, v in self.terms.items()})
-        object.__setattr__(res, "_hash", None)
-        return res
+        return Polynomial._make(self.n, {e: c * v for e, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -196,12 +194,14 @@ class Polynomial:
             return Polynomial.zero(self.n)
         if len(a) > len(b):
             a, b = b, a
-        # Exponent tuples are packed into single ints (21 bits per variable)
-        # so that the inner loop is one int add plus one dict update; exponent
-        # addition never carries across fields at these degrees.
+        # Exponent tuples are packed into single ints so that the inner loop is
+        # one int add plus one dict update.  Each variable's field is wide
+        # enough for the largest exponent sum, so additions never carry across
+        # fields.
         n = self.n
-        shifts = tuple(21 * i for i in range(n))
-        mask = (1 << 21) - 1
+        width = (max(map(max, a)) + max(map(max, b))).bit_length() if n else 0
+        shifts = tuple(width * i for i in range(n))
+        mask = (1 << width) - 1
 
         def pack(exps):
             key = 0
@@ -233,13 +233,8 @@ class Polynomial:
                     prev = getf(key)
                     out_f[key] = ca * cb if prev is None else prev + ca * cb
             packed = {k: v for k, v in out_f.items() if v}
-        out = {tuple((k >> s) & mask for s in shifts): v
-               for k, v in packed.items()}
-        res = Polynomial.__new__(Polynomial)
-        object.__setattr__(res, "n", self.n)
-        object.__setattr__(res, "terms", out)
-        object.__setattr__(res, "_hash", None)
-        return res
+        return Polynomial._make(n, {tuple((k >> s) & mask for s in shifts): v
+                                    for k, v in packed.items()})
 
     __rmul__ = __mul__
 

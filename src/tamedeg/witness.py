@@ -8,12 +8,12 @@ composition before returning; a mismatch is an implementation bug and raises.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Optional, Sequence
 
-from .maps import Factor, PolyMap, compose_all, elementary, gallery
+from .maps import Factor, PolyMap, compose_all, elementary
 from .poly import Polynomial
 
 
@@ -337,10 +337,6 @@ def build(recipe: WitnessRecipe) -> Witness:
         return build_4k2(p["k"], p["d3"])
     if recipe.kind == "tab_tail":
         return build_tab_tail(p["a"], p["b"], p["d3"])
-    if recipe.kind == "gallery":
-        m = gallery(p["name"])
-        w = Witness(m.mdeg(), recipe, [], m)
-        return w
     raise ConstructionError(f"unknown recipe kind {recipe.kind!r}")
 
 
@@ -349,9 +345,20 @@ def build(recipe: WitnessRecipe) -> Witness:
 # ---------------------------------------------------------------------------
 
 def verify_witness_json(data: dict) -> bool:
-    """Recompose the persisted factor chain and re-measure its multidegree."""
-    target = tuple(data["target"])
-    factors = [PolyMap.from_json(f) for f in data["factors"]]
+    """Recompose the persisted factor chain and re-measure its multidegree.
+
+    Raises ValueError when ``data`` does not have the witness JSON shape.
+    """
+    if not isinstance(data, dict):
+        raise ValueError("witness JSON must be an object")
+    target, factors = data.get("target"), data.get("factors")
+    if not isinstance(target, list) or not all(
+            isinstance(d, int) and not isinstance(d, bool) for d in target):
+        raise ValueError("witness JSON needs 'target', a list of integers")
+    if not isinstance(factors, list):
+        raise ValueError("witness JSON needs 'factors', a list of map objects")
+    target = tuple(target)
+    factors = [PolyMap.from_json(f) for f in factors]
     if not factors:
         return False
     return compose_all(factors).mdeg() == target

@@ -1,7 +1,10 @@
 import json
 
+import pytest
+
 from tamedeg.cli import EXIT_USAGE, main
 from tamedeg.maps import PolyMap, elementary, gallery
+from tamedeg.plane import Decomposition
 from tamedeg.poly import parse_poly
 
 
@@ -123,6 +126,23 @@ class TestAnalyze2:
         inv = PolyMap.from_json(data["inverse"])
         assert f.compose(inv).mdeg() == (1, 1)
 
+    def test_text_inverse_computed_once(self, capsys, tmp_path, monkeypatch):
+        f = PolyMap((parse_poly("x", n=2), parse_poly("y + x^3", n=2)))
+        path = tmp_path / "map.json"
+        path.write_text(json.dumps(f.to_json()))
+        calls = []
+        original = Decomposition.inverse_map
+
+        def counted(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Decomposition, "inverse_map", counted)
+        code, out, _ = run(capsys, "analyze2", "--map", str(path), "--inverse")
+        assert code == 0
+        assert out.splitlines()[1] == "inverse: (x, -x^3 + y) (mdeg (1, 3))"
+        assert len(calls) == 1
+
     def test_non_automorphism_exit_one(self, capsys, tmp_path):
         bad = PolyMap((parse_poly("x + y^2", n=2), parse_poly("y + x", n=2)))
         path = tmp_path / "bad.json"
@@ -179,17 +199,6 @@ class TestEnumerate:
         data = json.loads(out)
         assert all({"sorted", "status", "rule", "original"} <= set(r) for r in data)
 
-    def test_jobs_deterministic(self, capsys):
-        _, serial, _ = run(capsys, "enumerate", "--max", "6")
-        _, parallel, _ = run(capsys, "enumerate", "--max", "6", "--jobs", "2")
-        assert serial == parallel
-
-    def test_env_default_jobs(self, capsys, monkeypatch):
-        monkeypatch.setenv("TAMEMDEG_JOBS", "2")
-        _, out, _ = run(capsys, "enumerate", "--max", "4")
-        _, ref, _ = run(capsys, "enumerate", "--max", "4", "--jobs", "1")
-        assert out == ref
-
     def test_bad_max(self, capsys):
         code, _, err = run(capsys, "enumerate", "--max", "0")
         assert code == EXIT_USAGE
@@ -202,7 +211,17 @@ class TestUsage:
     def test_missing_arguments(self, capsys):
         assert run(capsys, "decide", "3")[0] == EXIT_USAGE
 
-    def test_seed_flag_accepted(self, capsys):
-        code, out, _ = run(capsys, "--seed", "5", "gallery", "nagata", "--mdeg")
-        assert code == 0
-        assert out.strip() == "5 3 1"
+    @pytest.mark.parametrize("argv, content", [
+        (["analyze2", "--map"], {"n": 2}),
+        (["reduce", "--target", "1", "--map"], {"n": 2}),
+        (["analyze2", "--map"], [1, 2]),
+        (["verify"], {}),
+        (["verify"], {"target": [1, 1, 1], "factors": [{"n": 3}]}),
+    ])
+    def test_malformed_file(self, capsys, tmp_path, argv, content):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(content))
+        code, out, err = run(capsys, *argv, str(path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ")

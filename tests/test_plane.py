@@ -3,8 +3,8 @@ import random
 import pytest
 
 from conftest import random_plane_chain
-from tamedeg.maps import PolyMap, compose_all, elementary, identity
-from tamedeg.plane import (InconsistentLengthError, NotKellerError, inverse,
+from tamedeg.maps import Factor, PolyMap, compose_all, elementary, identity
+from tamedeg.plane import (InconsistentLengthError, NotKellerError,
                            inverse_mdeg_prediction, length_bound, length_of,
                            omega, peel)
 from tamedeg.poly import Polynomial, parse_poly
@@ -52,6 +52,20 @@ class TestPeel:
         with pytest.raises(NotKellerError):
             peel(PolyMap((p2("x + y^2"), p2("y + x"))))
 
+    @pytest.mark.parametrize("p, q, jac", [
+        ("x", "1", "0"),              # constant component
+        ("0", "x", "0"),              # zero component
+        ("x^2", "1", "0"),            # constant component of a non-affine map
+        ("x", "x", "0"),              # singular affine map
+        ("x + y", "2*x + 2*y", "0"),  # singular affine map
+        ("x^2", "y", "2*x"),          # peeling gets stuck
+    ])
+    def test_not_keller_message(self, p, q, jac):
+        with pytest.raises(NotKellerError) as info:
+            peel(PolyMap((p2(p), p2(q))))
+        assert str(info.value) == (f"Jacobian determinant is {jac}, "
+                                   "not a nonzero constant")
+
     def test_wrong_dimension(self):
         with pytest.raises(ValueError):
             peel(identity(3))
@@ -60,13 +74,20 @@ class TestPeel:
 class TestInverse:
     def test_simple_inverse(self):
         f = PolyMap((p2("x"), p2("y + x^3")))
-        assert inverse(f) == PolyMap((p2("x"), p2("y - x^3")))
+        assert peel(f).inverse_map() == PolyMap((p2("x"), p2("y - x^3")))
+
+    def test_wrong_factor_inverse_detected(self):
+        dec = peel(PolyMap((p2("x"), p2("y + x^3"))))
+        t = dec.factors[0]
+        dec.factors[0] = Factor(t.kind, t.map, t.map)  # T in place of T^-1
+        with pytest.raises(AssertionError, match="factor inverse"):
+            dec.inverse_map()
 
     def test_inverse_degree_equals_degree(self):
         rng = random.Random(3)
         for _ in range(30):
             f, _, _ = random_plane_chain(rng)
-            inv = inverse(f)
+            inv = peel(f).inverse_map()
             assert inv.deg() == f.deg()
             # point check F(F^{-1}(pt)) = pt -- the full symbolic composition
             # is prohibitively large, the decomposition is already certified

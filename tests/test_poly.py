@@ -51,6 +51,21 @@ class TestArithmetic:
         assert f.total_degree() == 9
         assert f.coefficient((1, 0, 8)) == -3
 
+    def test_huge_exponent_square(self):
+        # 2^20 + 2^20 = 2^21 must not carry into the next variable
+        f = Polynomial.monomial(2, (2 ** 20, 0))
+        assert f * f == Polynomial.monomial(2, (2 ** 21, 0))
+
+    @pytest.mark.parametrize("coeff", [1, Fraction(1, 3)])
+    def test_exponent_sums_past_two_to_the_21(self, coeff):
+        # integer and rational paths, exponent sums up to 2^21 + 1 in x
+        big = 2 ** 20
+        a = Polynomial(2, {(big, 0): coeff, (0, 1): 1})
+        b = Polynomial(2, {(big + 1, 0): 1, (1, 2): -2})
+        assert a * b == Polynomial(2, {(2 * big + 1, 0): coeff,
+                                       (big + 1, 2): -2 * coeff,
+                                       (big + 1, 1): 1, (1, 3): -2})
+
 
 class TestDegrees:
     def test_zero_degree_is_neg_inf(self):

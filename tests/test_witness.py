@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from tamedeg.classify import Status, classify
+from tamedeg.maps import gallery
 from tamedeg.witness import (ConstructionError, Witness, WitnessRecipe, build,
                              build_469_family, build_4k2, build_padding,
                              build_sum_rule, build_tab_tail, find_sum_rule,
@@ -170,5 +171,8 @@ class TestPersistence:
         assert build(recipe).verified_mdeg == (4, 10, 13)
 
     def test_factorless_witness_fails_verification(self):
-        w = build(WitnessRecipe("gallery", {"name": "nagata"}))
-        assert not verify_witness_json(w.to_json())
+        # the target is the true mdeg of the named map, so only the missing
+        # factor chain can make verification fail
+        data = {"target": list(gallery("nagata").mdeg()),
+                "recipe": {"kind": "gallery", "name": "nagata"}, "factors": []}
+        assert not verify_witness_json(data)
