@@ -35,14 +35,36 @@ class Classification:
     notes: list[str] = field(default_factory=list)
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality exactly
+# for every n below this bound (Sorenson and Webster, arXiv:1509.00864), so
+# classify refuses degrees at or above it rather than give an unproven verdict.
+PRIME_TEST_BOUND = 3_317_044_064_679_887_385_961_981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < PRIME_TEST_BOUND."""
+    if n >= PRIME_TEST_BOUND:
+        raise ValueError(f"primality of {n} is not proven by the bases used")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -159,6 +181,8 @@ def classify(d1: int, d2: int, d3: int) -> Classification:
     original = (d1, d2, d3)
     if min(original) < 1:
         raise ValueError("degrees must be positive integers")
+    if max(original) >= PRIME_TEST_BOUND:
+        raise ValueError(f"degrees must be below {PRIME_TEST_BOUND}")
     d = tuple(sorted(original))
     hits = _applicable_rules(d)
     notes: list[str] = []

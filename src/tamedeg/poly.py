@@ -6,7 +6,9 @@ degree ``NEG_INF`` (a float -inf sentinel, comparable with ints).
 
 The text grammar accepts variables ``x1..x9`` or declared aliases such as
 ``x, y, z``; integer and ``p/q`` rational literals; operators ``+ - * ^``
-and parentheses.  Implicit multiplication is forbidden.  Canonical printing
+and parentheses.  Implicit multiplication is forbidden.  Unary minus binds
+looser than ``^`` (``x*-y^2`` is ``-x*y^2``), and parentheses and unary
+minus signs nest at most ``MAX_NESTING`` deep.  Canonical printing
 is graded-lexicographic descending with explicit ``*`` and coefficient 1
 suppressed.
 """
@@ -382,106 +384,136 @@ def format_poly(p: Polynomial, varnames: Sequence[str] | None = None) -> str:
     return out
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+/\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()]))")
+# The last group catches any other character, so the matches tile the text
+# up to trailing whitespace.
+_TOKEN_RE = re.compile(
+    r"\s*(?:(\d+/\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()])|(\S))")
+_KINDS = (None, "num", "name", "op")
+
+# Parentheses and unary minus signs may nest this deep; the parser recurses
+# once per level, so deeper input would exhaust the interpreter's stack.
+MAX_NESTING = 100
 
 
 def _tokenize(text: str):
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ParseError(f"unexpected character {text[pos:].strip()[0]!r}", pos)
-            break
-        num, name, op = m.groups()
-        if num is not None:
-            tokens.append(("num", num, m.start(1)))
-        elif name is not None:
-            tokens.append(("name", name, m.start(2)))
-        else:
-            tokens.append(("op", op, m.start(3)))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        k = m.lastindex
+        if k == 4:
+            raise ParseError(f"unexpected character {m[4]!r}", m.start())
+        tokens.append((_KINDS[k], m[k], m.start(k)))
     tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
+    """Recursive descent over ``expr := ['+'|'-'] term (('+'|'-') term)*``,
+    ``term := factor ('*' factor)*``, ``factor := '-' factor | atom ['^' int]``
+    and ``atom := number | name | '(' expr ')'``.
+
+    A term of literals and variable powers is built as one monomial, and
+    ``expr`` sums terms into one dict, so canonical text parses in time
+    linear in its length.  Only parenthesised factors use ring operations.
+    """
+
     def __init__(self, text: str, varnames: Sequence[str]):
         self.tokens = _tokenize(text)
         self.i = 0
         self.n = len(varnames)
         self.index = {name: i for i, name in enumerate(varnames)}
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
+        self.depth = 0
 
     def expr(self) -> Polynomial:
-        kind, val, pos = self.peek()
-        negate = False
+        acc: dict[tuple[int, ...], Fraction] = {}
+        kind, val, _ = self.tokens[self.i]
+        negate = kind == "op" and val == "-"
         if kind == "op" and val in "+-":
-            self.take()
+            self.i += 1
+        while True:
+            t = self.term()
+            for exps, c in (t.terms.items() if isinstance(t, Polynomial) else (t,)):
+                if negate:
+                    c = -c
+                prev = acc.get(exps)
+                if prev is not None:
+                    c += prev
+                if c:
+                    acc[exps] = c
+                elif prev is not None:
+                    del acc[exps]
+            kind, val, _ = self.tokens[self.i]
+            if not (kind == "op" and val in "+-"):
+                return Polynomial._make(self.n, acc)
+            self.i += 1
             negate = val == "-"
-        acc = self.term()
-        if negate:
-            acc = -acc
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                rhs = self.term()
-                acc = acc - rhs if val == "-" else acc + rhs
-            else:
-                return acc
 
-    def term(self) -> Polynomial:
-        acc = self.factor()
+    def term(self) -> "tuple[tuple[int, ...], Fraction] | Polynomial":
+        """One ``(exponents, coefficient)`` pair, or a Polynomial when the
+        term has a parenthesised factor."""
+        exps = [0] * self.n
+        coeff = 1
+        poly = None
         while True:
-            kind, val, pos = self.peek()
+            f = self.factor(exps)
+            if isinstance(f, Polynomial):
+                poly = f if poly is None else poly * f
+            else:
+                coeff *= f
+            kind, val, pos = self.tokens[self.i]
             if kind == "op" and val == "*":
-                self.take()
-                acc = acc * self.factor()
+                self.i += 1
             elif kind in ("num", "name") or (kind == "op" and val == "("):
                 raise ParseError("implicit multiplication is not allowed", pos)
+            elif poly is None:
+                return tuple(exps), Fraction(coeff)
             else:
-                return acc
+                return poly * Polynomial.monomial(self.n, exps, coeff)
 
-    def factor(self) -> Polynomial:
-        base = self.atom()
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "^":
-            self.take()
-            kind, val, pos = self.take()
-            if kind != "num" or "/" in val:
-                raise ParseError("exponent must be a nonnegative integer", pos)
-            return base ** int(val)
-        return base
-
-    def atom(self) -> Polynomial:
-        kind, val, pos = self.take()
-        if kind == "num":
-            if "/" in val:
-                num, den = val.split("/")
-                return Polynomial.constant(self.n, Fraction(int(num), int(den)))
-            return Polynomial.constant(self.n, int(val))
-        if kind == "name":
-            if val not in self.index:
-                raise ParseError(f"unknown variable {val!r}", pos)
-            return Polynomial.variable(self.n, self.index[val])
-        if kind == "op" and val == "(":
-            inner = self.expr()
-            kind, val, pos = self.take()
+    def factor(self, exps: list[int]) -> "Scalar | Polynomial":
+        """Parse one factor.  Variable powers are added into ``exps``; the
+        scalar part is returned, or the Polynomial of a parenthesised one."""
+        kind, val, pos = self.tokens[self.i]
+        self.i += 1
+        var = None
+        if kind == "op" and val in "(-":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"nesting deeper than {MAX_NESTING} levels", pos)
+            if val == "-":
+                base = -self.factor(exps)
+                self.depth -= 1
+                return base
+            base = self.expr()
+            kind, val, pos = self.tokens[self.i]
+            self.i += 1
             if not (kind == "op" and val == ")"):
                 raise ParseError("expected ')'", pos)
-            return inner
-        if kind == "op" and val == "-":
-            return -self.atom()
-        raise ParseError(f"unexpected token {val!r}" if val else "unexpected end of input", pos)
+            self.depth -= 1
+        elif kind == "num":
+            if "/" in val:
+                num, den = val.split("/")
+                base = Fraction(int(num), int(den))
+            else:
+                base = int(val)
+        elif kind == "name":
+            if val not in self.index:
+                raise ParseError(f"unknown variable {val!r}", pos)
+            var, base = self.index[val], 1
+        else:
+            raise ParseError(
+                f"unexpected token {val!r}" if val else "unexpected end of input", pos)
+        k = 1
+        kind, val, _ = self.tokens[self.i]
+        if kind == "op" and val == "^":
+            kind, val, pos = self.tokens[self.i + 1]
+            self.i += 2
+            if kind != "num" or "/" in val:
+                raise ParseError("exponent must be a nonnegative integer", pos)
+            k = int(val)
+        if var is not None:
+            exps[var] += k
+            return 1
+        return base if k == 1 else base ** k
 
 
 def parse_poly(text: str, varnames: Sequence[str] | None = None, n: int | None = None) -> Polynomial:
@@ -501,7 +533,7 @@ def parse_poly(text: str, varnames: Sequence[str] | None = None, n: int | None =
         for i in range(len(varnames)):
             parser.index.setdefault(f"x{i + 1}", i)
     result = parser.expr()
-    kind, val, pos = parser.peek()
+    kind, val, pos = parser.tokens[parser.i]
     if kind != "end":
         raise ParseError(f"trailing input {val!r}", pos)
     return result

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from tamedeg.classify import Status, classify, enumerate_classifications
+from tamedeg.classify import (PRIME_TEST_BOUND, Status, _is_prime, classify,
+                              enumerate_classifications)
 from tamedeg.semigroup import SemigroupPair, frobenius
 
 
@@ -34,6 +35,31 @@ class TestFixedVerdicts:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             classify(0, 1, 2)
+
+
+class TestPrimality:
+    def test_matches_trial_division(self):
+        def trial(n):
+            return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+        assert [n for n in range(1, 10 ** 5) if _is_prime(n)] == [
+            n for n in range(1, 10 ** 5) if trial(n)]
+
+    @pytest.mark.parametrize("n, prime", [
+        (3215031751, False),  # strong pseudoprime to bases 2, 3, 5, 7
+        (3825123056546413051, False),  # ... to the first 9 prime bases
+        (318665857834031151167461, False),  # ... to the first 12 prime bases
+        (10 ** 18 + 3, True),
+        (2 ** 61 - 1, True),
+        (PRIME_TEST_BOUND - 2, False),
+    ])
+    def test_large_values(self, n, prime):
+        assert _is_prime(n) is prime
+
+    def test_bound(self):
+        with pytest.raises(ValueError):
+            _is_prime(PRIME_TEST_BOUND)
+        with pytest.raises(ValueError):
+            classify(5, 7, PRIME_TEST_BOUND)
 
 
 class TestInvariance:

@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+from tamedeg.classify import PRIME_TEST_BOUND
 from tamedeg.cli import EXIT_USAGE, main
 from tamedeg.maps import PolyMap, elementary, gallery
 from tamedeg.plane import Decomposition
@@ -54,6 +56,22 @@ class TestDecide:
         code, out, _ = run(capsys, "verify", str(path))
         assert code == 0
         assert out.strip() == "OK"
+
+
+    def test_large_prime_degrees(self, capsys):
+        # primality of 10^18 + 3 must not take trial division
+        p = 10 ** 18 + 3
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "decide", str(p), str(2 * p), str(3 * p))
+        assert time.perf_counter() - start < 2
+        assert code == 0
+        assert "Realizable [R3: sum rule]" in out
+
+    def test_degree_beyond_proven_primality_rejected(self, capsys):
+        code, out, err = run(capsys, "decide", "5", "7", str(PRIME_TEST_BOUND))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err == f"error: degrees must be below {PRIME_TEST_BOUND}\n"
 
 
 class TestVerify:
@@ -217,6 +235,9 @@ class TestUsage:
         (["analyze2", "--map"], [1, 2]),
         (["verify"], {}),
         (["verify"], {"target": [1, 1, 1], "factors": [{"n": 3}]}),
+        (["analyze2", "--map"],
+         {"n": 2, "components": ["(" * 3000 + "x" + ")" * 3000, "y"]}),
+        (["analyze2", "--map"], {"n": 2, "components": ["x", "-" * 3000 + "y"]}),
     ])
     def test_malformed_file(self, capsys, tmp_path, argv, content):
         path = tmp_path / "in.json"

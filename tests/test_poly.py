@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -136,6 +137,68 @@ class TestParsePrint:
     def test_unknown_token(self):
         with pytest.raises(ParseError):
             parse_poly("x + $", n=1)
+
+    @pytest.mark.parametrize("text, message, position", [
+        ("x + $", "unexpected character '$'", 3),
+        ("x +  ", "unexpected end of input", 5),
+        ("2x", "implicit multiplication is not allowed", 1),
+        ("x y", "implicit multiplication is not allowed", 2),
+        ("x^y", "exponent must be a nonnegative integer", 2),
+        ("x ^ -2", "exponent must be a nonnegative integer", 4),
+        ("(x + y", "expected ')'", 6),
+        ("x)", "trailing input ')'", 1),
+        ("w + x", "unknown variable 'w'", 0),
+        ("x*+y", "unexpected token '+'", 2),
+    ])
+    def test_error_messages_and_positions(self, text, message, position):
+        with pytest.raises(ParseError) as info:
+            parse_poly(text, n=2)
+        assert str(info.value) == f"{message} (at position {position})"
+        assert info.value.position == position
+
+    @pytest.mark.parametrize("text, expected", [
+        ("-y^2", "-y^2"),
+        ("x*-y^2", "-x*y^2"),
+        ("x + -y^2", "-y^2 + x"),
+        ("x - -y^2", "y^2 + x"),
+        ("x*-2^2", "-4*x"),
+        ("--y^2", "y^2"),
+        ("(-y)^2", "y^2"),
+        ("x*-(x + y)^2", "-x^3 - 2*x^2*y - x*y^2"),
+    ])
+    def test_unary_minus_binds_looser_than_power(self, text, expected):
+        assert format_poly(parse_poly(text, n=2)) == expected
+
+    def test_nesting_limit(self):
+        assert parse_poly("(" * 100 + "x" + ")" * 100, n=1) == p("x", n=1)
+        assert parse_poly("-" * 100 + "x", n=1) == p("x", n=1)
+        for text in ["(" * 101 + "x" + ")" * 101, "(" * 3000 + "x" + ")" * 3000,
+                     "-" * 3000 + "x", "x*" + "-" * 60 + "(" * 41 + "x" + ")" * 41]:
+            with pytest.raises(ParseError, match="nesting deeper than 100"):
+                parse_poly(text, n=1)
+
+    def test_canonical_text_parses_without_ring_products(self, monkeypatch):
+        rng = random.Random(5)
+        terms = {}
+        while len(terms) < 500:
+            exps = (rng.randrange(60), rng.randrange(60))
+            if rng.random() < 0.5:
+                terms[exps] = rng.choice([-1, 1]) * rng.randrange(10 ** 40)
+            else:
+                terms[exps] = Fraction(rng.randrange(-10 ** 20, 10 ** 20),
+                                       rng.randrange(1, 10 ** 12))
+        f = Polynomial(2, terms)
+        text = format_poly(f)
+        calls = []
+        for name in ("__mul__", "__rmul__", "__pow__"):
+            original = getattr(Polynomial, name)
+
+            def counted(self, other, _original=original, _name=name):
+                calls.append(_name)
+                return _original(self, other)
+            monkeypatch.setattr(Polynomial, name, counted)
+        assert parse_poly(text, n=2) == f
+        assert calls == []
 
     def test_format_canonical_order(self):
         # graded lexicographic, descending; unit coefficients suppressed
