@@ -1,21 +1,25 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-A polynomial is a finite map from exponent tuples to nonzero Fractions,
-together with a fixed variable count ``n``.  The zero polynomial has total
-degree ``NEG_INF`` (a float -inf sentinel, comparable with ints).
+A polynomial is a finite map from exponent tuples to nonzero, normalised
+Fractions, together with a fixed variable count ``n``.  The zero polynomial
+has total degree ``NEG_INF`` (a float -inf sentinel, comparable with ints).
+Every product runs on integers: each operand is scaled by the lcm of its
+denominators, the term pairs multiply as ints, and each output coefficient
+becomes a Fraction once.
 
 The text grammar accepts variables ``x1..x9`` or declared aliases such as
-``x, y, z``; integer and ``p/q`` rational literals; operators ``+ - * ^``
-and parentheses.  Implicit multiplication is forbidden.  Unary minus binds
-looser than ``^`` (``x*-y^2`` is ``-x*y^2``), and parentheses and unary
-minus signs nest at most ``MAX_NESTING`` deep.  Canonical printing
-is graded-lexicographic descending with explicit ``*`` and coefficient 1
-suppressed.
+``x, y, z``; integer and ``p/q`` rational literals (``q`` nonzero); operators
+``+ - * ^`` and parentheses.  Implicit multiplication is forbidden.  Unary
+minus binds looser than ``^`` (``x*-y^2`` is ``-x*y^2``), parentheses and
+unary minus signs nest at most ``MAX_NESTING`` deep, and a ``^`` exponent is
+at most ``MAX_EXPONENT``.  Canonical printing is graded-lexicographic
+descending with explicit ``*`` and coefficient 1 suppressed.
 """
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Sequence, Union
 
 NEG_INF = float("-inf")
@@ -211,32 +215,29 @@ class Polynomial:
                 key |= e << s
             return key
 
-        # Integer fast path: products of automorphism components routinely hit
-        # millions of term pairs, and int arithmetic beats Fraction by ~20x.
-        if all(c.denominator == 1 for c in a.values()) and all(
-                c.denominator == 1 for c in b.values()):
-            ai = [(pack(e), c.numerator) for e, c in a.items()]
-            bi = [(pack(e), c.numerator) for e, c in b.items()]
-            out_i: dict[int, int] = {}
-            get = out_i.get
-            for ea, ca in ai:
-                for eb, cb in bi:
-                    key = ea + eb
-                    out_i[key] = get(key, 0) + ca * cb
-            packed = {k: Fraction(v) for k, v in out_i.items() if v}
-        else:
-            af = [(pack(e), c) for e, c in a.items()]
-            bf = [(pack(e), c) for e, c in b.items()]
-            out_f: dict[int, Fraction] = {}
-            getf = out_f.get
-            for ea, ca in af:
-                for eb, cb in bf:
-                    key = ea + eb
-                    prev = getf(key)
-                    out_f[key] = ca * cb if prev is None else prev + ca * cb
-            packed = {k: v for k, v in out_f.items() if v}
-        return Polynomial._make(n, {tuple((k >> s) & mask for s in shifts): v
-                                    for k, v in packed.items()})
+        # Each operand is cleared of denominators: a coefficient c becomes the
+        # integer c*D, with D the lcm of that operand's denominators.  Every
+        # term pair is then one int multiply-add, not Fraction arithmetic,
+        # and each output coefficient is normalised once, as Fraction(v, Da*Db).
+        # D = 1 for an integer polynomial; the tests on it skip a division per
+        # term and a gcd per output coefficient.
+        def cleared(terms):
+            d = lcm(*[c.denominator for c in terms.values()])
+            return d, [(pack(e), c.numerator if d == 1 else c.numerator * (d // c.denominator))
+                       for e, c in terms.items()]
+
+        da, ai = cleared(a)
+        db, bi = cleared(b)
+        out: dict[int, int] = {}
+        get = out.get
+        for ea, ca in ai:
+            for eb, cb in bi:
+                key = ea + eb
+                out[key] = get(key, 0) + ca * cb
+        d = da * db
+        return Polynomial._make(n, {tuple((k >> s) & mask for s in shifts):
+                                    Fraction(v) if d == 1 else Fraction(v, d)
+                                    for k, v in out.items() if v})
 
     __rmul__ = __mul__
 
@@ -288,7 +289,8 @@ class Polynomial:
         for a in args:
             if a.n != m:
                 raise DimensionMismatch("substitution arguments differ in variable count")
-        # cache powers of each argument
+        # Powers of each argument, from the first up to the largest exponent
+        # that occurs.
         max_exp = [0] * self.n
         for exps in self.terms:
             for i, e in enumerate(exps):
@@ -296,18 +298,29 @@ class Polynomial:
                     max_exp[i] = e
         powers: list[list[Polynomial]] = []
         for i, a in enumerate(args):
-            row = [Polynomial.constant(m, 1)]
-            for _ in range(max_exp[i]):
+            row = [None, a]
+            for _ in range(1, max_exp[i]):
                 row.append(row[-1] * a)
             powers.append(row)
-        result = Polynomial.zero(m)
+        # Each monomial multiplies only the powers it needs; c times its terms
+        # is summed into one dict.
+        one = (((0,) * m, 1),)
+        acc: dict[tuple[int, ...], Fraction] = {}
         for exps, c in self.terms.items():
-            prod = Polynomial.constant(m, c)
+            prod = None
             for i, e in enumerate(exps):
                 if e:
-                    prod = prod * powers[i][e]
-            result = result + prod
-        return result
+                    prod = powers[i][e] if prod is None else prod * powers[i][e]
+            for key, v in (one if prod is None else prod.terms.items()):
+                v = c * v
+                prev = acc.get(key)
+                if prev is not None:
+                    v += prev
+                if v:
+                    acc[key] = v
+                elif prev is not None:
+                    del acc[key]
+        return Polynomial._make(m, acc)
 
     # -- comparison / display -------------------------------------------
 
@@ -393,6 +406,11 @@ _KINDS = (None, "num", "name", "op")
 # Parentheses and unary minus signs may nest this deep; the parser recurses
 # once per level, so deeper input would exhaust the interpreter's stack.
 MAX_NESTING = 100
+
+# A ``^`` exponent may be at most this large.  Larger ones would make parsing
+# and ``substitute``, which builds every power up to the largest exponent,
+# cost time and memory out of proportion to the text.
+MAX_EXPONENT = 10_000
 
 
 def _tokenize(text: str):
@@ -491,8 +509,10 @@ class _Parser:
             self.depth -= 1
         elif kind == "num":
             if "/" in val:
-                num, den = val.split("/")
-                base = Fraction(int(num), int(den))
+                num, den = map(int, val.split("/"))
+                if not den:
+                    raise ParseError(f"zero denominator in {val!r}", pos)
+                base = Fraction(num, den)
             else:
                 base = int(val)
         elif kind == "name":
@@ -509,6 +529,9 @@ class _Parser:
             self.i += 2
             if kind != "num" or "/" in val:
                 raise ParseError("exponent must be a nonnegative integer", pos)
+            # the length test keeps int() off digit strings it refuses
+            if len(val.lstrip("0")) > len(str(MAX_EXPONENT)) or int(val) > MAX_EXPONENT:
+                raise ParseError(f"exponent larger than {MAX_EXPONENT}", pos)
             k = int(val)
         if var is not None:
             exps[var] += k

@@ -238,6 +238,12 @@ class TestUsage:
         (["analyze2", "--map"],
          {"n": 2, "components": ["(" * 3000 + "x" + ")" * 3000, "y"]}),
         (["analyze2", "--map"], {"n": 2, "components": ["x", "-" * 3000 + "y"]}),
+        (["analyze2", "--map"], {"n": 2, "components": ["x + 1/0", "y"]}),
+        (["reduce", "--target", "1", "--map"],
+         {"n": 3, "components": ["x", "y", "z + 2/0*x"]}),
+        (["analyze2", "--map"], {"n": 2, "components": ["x + y^1000000", "y"]}),
+        (["verify"], {"target": [1, 1, 10001], "recipe": None, "factors": [
+            {"n": 3, "components": ["x", "y", "z + x^10001"]}]}),
     ])
     def test_malformed_file(self, capsys, tmp_path, argv, content):
         path = tmp_path / "in.json"

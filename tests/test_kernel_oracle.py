@@ -1,0 +1,113 @@
+"""Differential tests of the product kernel.
+
+``Polynomial.__mul__`` clears denominators and multiplies packed integer
+keys; ``substitute`` sums scaled products into one dict.  Both are checked
+against a pairwise ``Fraction`` oracle on exponent tuples, and every stored
+coefficient must be a nonzero, normalised ``Fraction``.
+"""
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from tamedeg.poly import Polynomial  # noqa: E402
+
+coefficients = st.one_of(
+    st.integers(-5, 5),
+    st.integers(-10 ** 30, 10 ** 30),
+    st.fractions(max_denominator=50).filter(lambda c: abs(c) < 10 ** 6),
+    st.tuples(st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30)).map(
+        lambda pq: Fraction(*pq)),
+)
+
+
+@st.composite
+def polynomials(draw, n, max_terms=6):
+    """Sparse operands with exponents past 2^21, or dense ones with small
+    exponents; coefficients of all kinds mixed in one operand."""
+    if draw(st.booleans()):
+        exps = st.tuples(*[st.sampled_from([0, 1, 2, 2 ** 20, 2 ** 21 + 3, 2 ** 22])
+                           for _ in range(n)])
+    else:
+        exps = st.tuples(*[st.integers(0, 3) for _ in range(n)])
+    terms = draw(st.dictionaries(exps, coefficients, max_size=max_terms))
+    return Polynomial(n, terms)
+
+
+def oracle_mul(a, b):
+    out = {}
+    for ea, ca in a.terms.items():
+        for eb, cb in b.terms.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, Fraction(0)) + ca * cb
+    return {e: c for e, c in out.items() if c}
+
+
+def oracle_substitute(f, args):
+    m = args[0].n
+    out = {}
+    for exps, c in f.terms.items():
+        prod = {(0,) * m: c}
+        for a, e in zip(args, exps):
+            for _ in range(e):
+                prod = oracle_mul(Polynomial(m, prod), a)
+        for e, v in prod.items():
+            out[e] = out.get(e, Fraction(0)) + v
+    return {e: c for e, c in out.items() if c}
+
+
+def assert_clean(p, expected):
+    assert p.terms == expected
+    for c in p.terms.values():
+        assert type(c) is Fraction
+        assert c != 0
+        assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(polynomials(n), polynomials(n))))
+def test_mul_matches_oracle(pair):
+    a, b = pair
+    assert_clean(a * b, oracle_mul(a, b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(polynomials(n, 4), polynomials(n, 4))))
+def test_cancelling_products(pair):
+    # (f + g)(f - g) = f^2 - g^2: the cross terms cancel; f*(f - f) has a
+    # zero operand
+    f, g = pair
+    for a, b in [(f + g, f - g), (f, f - f)]:
+        assert_clean(a * b, oracle_mul(a, b))
+
+
+def monomial_exponents(n):
+    """Exponent tuples of total degree at most 4, so that the expanded
+    substitution stays small for the oracle."""
+    return st.tuples(*[st.sampled_from([0, 0, 0, 1, 2])] * n).filter(lambda e: sum(e) <= 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.integers(1, 4).flatmap(
+    lambda m: st.tuples(
+        st.dictionaries(monomial_exponents(n), coefficients, max_size=5),
+        st.lists(polynomials(m, 3), min_size=n, max_size=n)))))
+def test_substitute_matches_oracle(data):
+    terms, args = data
+    f = Polynomial(len(args), terms)
+    assert_clean(f.substitute(args), oracle_substitute(f, args))
+
+
+@pytest.mark.parametrize("c", [1, Fraction(-7, 3), 10 ** 30 + Fraction(1, 10 ** 30)])
+def test_substitute_cancels_to_zero(c):
+    # c*(x - y^2) vanishes at (s^2, s), for s = t and for s = t + 1/3
+    f = Polynomial(2, {(1, 0): c, (0, 2): -c})
+    t = Polynomial.variable(1, 0)
+    for s in (t, t + Fraction(1, 3)):
+        assert_clean(f.substitute([s * s, s]), {})
+    args = [t * t, t + Fraction(1, 3)]
+    assert_clean(f.substitute(args), oracle_substitute(f, args))

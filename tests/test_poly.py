@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tamedeg.poly import (NEG_INF, DimensionMismatch, ParseError, Polynomial,
-                          format_poly, parse_poly)
+from tamedeg.poly import (MAX_EXPONENT, NEG_INF, DimensionMismatch, ParseError,
+                          Polynomial, format_poly, parse_poly)
 
 
 def p(text, n=3):
@@ -111,6 +111,31 @@ class TestStructure:
         g = f.substitute([p("z", n=3), p("x*y", n=3)])
         assert g == p("z^2 + x*y", n=3)
 
+    def test_substitute_makes_no_constant_products(self, monkeypatch):
+        # each monomial multiplies only argument powers, never a constant
+        rng = random.Random(3)
+        terms = {}
+        while len(terms) < 20:
+            exps = (rng.randrange(5), rng.randrange(5), rng.randrange(5))
+            terms[exps] = Fraction(rng.randrange(-99, 100) or 1, rng.randrange(1, 9))
+        f = Polynomial(3, terms)
+        args = [p("x", n=2), p("y", n=2), p("x", n=2)]
+        expected = Polynomial(2, {})
+        for (i, j, k), c in terms.items():
+            expected = expected + Polynomial.monomial(2, (i + k, j), c)
+        constant_operands = []
+        for name in ("__mul__", "__rmul__"):
+            original = getattr(Polynomial, name)
+
+            def counted(self, other, _original=original):
+                if any(not isinstance(q, Polynomial) or q.is_constant()
+                       for q in (self, other)):
+                    constant_operands.append((self, other))
+                return _original(self, other)
+            monkeypatch.setattr(Polynomial, name, counted)
+        assert f.substitute(args) == expected
+        assert constant_operands == []
+
     def test_variables(self):
         assert p("x*z + 1").variables() == {0, 2}
         assert p("y^2").involves(1)
@@ -149,6 +174,10 @@ class TestParsePrint:
         ("x)", "trailing input ')'", 1),
         ("w + x", "unknown variable 'w'", 0),
         ("x*+y", "unexpected token '+'", 2),
+        ("x + 1/0", "zero denominator in '1/0'", 4),
+        ("2*(x - 3/0)^2", "zero denominator in '3/0'", 7),
+        ("y^10001", "exponent larger than 10000", 2),
+        ("x + (x*y)^4000000", "exponent larger than 10000", 10),
     ])
     def test_error_messages_and_positions(self, text, message, position):
         with pytest.raises(ParseError) as info:
@@ -176,6 +205,14 @@ class TestParsePrint:
                      "-" * 3000 + "x", "x*" + "-" * 60 + "(" * 41 + "x" + ")" * 41]:
             with pytest.raises(ParseError, match="nesting deeper than 100"):
                 parse_poly(text, n=1)
+
+    def test_exponent_limit(self):
+        assert MAX_EXPONENT == 10_000
+        assert parse_poly(f"x^{MAX_EXPONENT}", n=1) == Polynomial.monomial(1, (MAX_EXPONENT,))
+        assert parse_poly(f"x^000{MAX_EXPONENT}", n=1) == Polynomial.monomial(1, (MAX_EXPONENT,))
+        # longer than int() converts by default
+        with pytest.raises(ParseError, match=r"^exponent larger than 10000 \(at position 2\)$"):
+            parse_poly("x^" + "9" * 5000, n=1)
 
     def test_canonical_text_parses_without_ring_products(self, monkeypatch):
         rng = random.Random(5)
