@@ -224,20 +224,18 @@ def _cmd_reduce(args) -> int:
         raise _UsageError("--target must be 1, 2, or 3")
     cand = reductions.bounded_reduction_search(
         m, args.target - 1, args.degy_bound, args.deg_bound)
+    if cand is None:
+        print(json.dumps({"found": False}, indent=2) if args.json
+              else "not found within bounds")
+        return 1
+    _, achieved = reductions.check_elementary_reduction(m, cand)
+    g = format_poly(cand.g, ("X", "Y"))
     if args.json:
-        payload = {"found": cand is not None}
-        if cand is not None:
-            ok, achieved = reductions.check_elementary_reduction(m, cand)
-            payload["g"] = format_poly(cand.g, ("X", "Y"))
-            payload["achieved_degree"] = achieved
-        print(json.dumps(payload, indent=2))
-    elif cand is None:
-        print("not found within bounds")
+        print(json.dumps({"found": True, "g": g, "achieved_degree": achieved},
+                         indent=2))
     else:
-        ok, achieved = reductions.check_elementary_reduction(m, cand)
-        print(f"g = {format_poly(cand.g, ('X', 'Y'))} "
-              f"(reduces component {args.target} to degree {achieved})")
-    return 0 if cand is not None else 1
+        print(f"g = {g} (reduces component {args.target} to degree {achieved})")
+    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -268,3 +266,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def main_entry() -> None:
     raise SystemExit(main(argv=None))
+
+
+if __name__ == "__main__":
+    main_entry()

@@ -289,18 +289,17 @@ class Polynomial:
         for a in args:
             if a.n != m:
                 raise DimensionMismatch("substitution arguments differ in variable count")
-        # Powers of each argument, from the first up to the largest exponent
-        # that occurs.
-        max_exp = [0] * self.n
-        for exps in self.terms:
-            for i, e in enumerate(exps):
-                if e > max_exp[i]:
-                    max_exp[i] = e
-        powers: list[list[Polynomial]] = []
-        for i, a in enumerate(args):
-            row = [None, a]
-            for _ in range(1, max_exp[i]):
-                row.append(row[-1] * a)
+        # Powers of each argument, built one multiply apart up to the largest
+        # exponent that occurs; only the exponents some monomial uses are kept.
+        powers: list[dict[int, Polynomial]] = []
+        for a, column in zip(args, zip(*self.terms)):
+            wanted = set(column)
+            row, power = {}, a
+            for e in range(1, max(wanted) + 1):
+                if e > 1:
+                    power = power * a
+                if e in wanted:
+                    row[e] = power
             powers.append(row)
         # Each monomial multiplies only the powers it needs; c times its terms
         # is summed into one dict.

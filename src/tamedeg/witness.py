@@ -8,13 +8,14 @@ composition before returning; a mismatch is an implementation bug and raises.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Optional, Sequence
 
 from .maps import Factor, PolyMap, compose_all, elementary
 from .poly import Polynomial
+from .semigroup import SemigroupPair
 
 
 class ConstructionError(ValueError):
@@ -101,7 +102,6 @@ def build_sum_rule(degrees: Sequence[int], i: int, coeffs: Sequence[int]) -> Wit
 
 def find_sum_rule(degrees: Sequence[int]) -> Optional[WitnessRecipe]:
     """A sum-rule recipe for a sorted degree tuple, if one exists (n=3)."""
-    from .semigroup import SemigroupPair
     d = tuple(degrees)
     if len(d) >= 2 and d[1] % d[0] == 0:
         return WitnessRecipe("sum_rule",
@@ -185,111 +185,80 @@ def build_padding(sub: Witness, degrees: Sequence[int],
 
 
 # ---------------------------------------------------------------------------
-# the (4,6,*) family
+# cancellation chains: the (4,6,*) family and the lcm tail
 # ---------------------------------------------------------------------------
+
+def _cancellation_chain(target, recipe, a: int, mid: Polynomial, h: Polynomial,
+                        q: int) -> Witness:
+    """The chain G . F with F = (x + z^a, y + mid, z), G = (u, v, w + h u^q).
+
+    Its third component is z + h(F1, F2) F1^q, and _finish checks that its
+    degree is target[2] exactly; degrees add in a polynomial ring, so the
+    leading forms of h(F1, F2) cancel down to degree target[2] - a*q.
+    """
+    n = 3
+    e1 = elementary(n, 0, Polynomial.monomial(n, (0, 0, a)))
+    e2 = elementary(n, 1, mid)
+    u = Polynomial.variable(n, 0)
+    g = elementary(n, 2, h * u ** q)
+    return _finish(target, recipe, [g, e1, e2], target[2] - a * q)
+
 
 def build_469_family(k: int, variant: int) -> Witness:
     """Witness with mdeg (4, 6, variant + 4k), variant in {9, 7}, k >= 0.
 
     F = (x + z^4, y + z^6, z) -- the 7-variant corrects the middle component
     to y + 3/2 x z^2 + z^6 -- followed by G = (u, v, w + (v^2 - u^3) u^k).
+    The cancellation degree is the variant.
     """
     if k < 0 or variant not in (9, 7):
         raise ConstructionError("k >= 0 and variant in {9, 7} required")
     n = 3
-    z4 = Polynomial.monomial(n, (0, 0, 4))
-    e1 = elementary(n, 0, z4)
     mid = Polynomial.monomial(n, (0, 0, 6))
     if variant == 7:
         mid = mid + Polynomial.monomial(n, (1, 0, 2), Fraction(3, 2))
-    e2 = elementary(n, 1, mid)
     u = Polynomial.variable(n, 0)
     v = Polynomial.variable(n, 1)
-    g = elementary(n, 2, (v ** 2 - u ** 3) * u ** k)
-    f1 = Polynomial.variable(n, 0) + z4
-    f2 = Polynomial.variable(n, 1) + mid
-    cancel = int((f2 ** 2 - f1 ** 3).total_degree())
     recipe = WitnessRecipe("four_six", {"k": k, "variant": variant})
-    return _finish((4, 6, variant + 4 * k), recipe, [g, e1, e2], cancel)
+    return _cancellation_chain((4, 6, variant + 4 * k), recipe, 4, mid,
+                               v ** 2 - u ** 3, k)
 
-
-# ---------------------------------------------------------------------------
-# the (4, 4k+2, *) family, k >= 3
-# ---------------------------------------------------------------------------
 
 def build_4k2(k: int, d3: int) -> Witness:
     """Witness with mdeg (4, 4k+2, d3) for k >= 3 and d3 >= 5k+1.
 
-    Picks minimal r in {k-1, k, k+1, k+2} with d3 = 4k+2+r+4q, q >= 0;
-    solves the coefficient system C(2k+1, s) = sum_{l+m=s} a_l a_m (a_0 = 1)
-    so that (x+z^4)^{2k+1} - (y + z^r + sum a_l x^l z^{4k+2-4l})^2 collapses
-    to degree 4k+2+r exactly.
+    This is the lcm tail at (a, b) = (4, 4k+2), which starts at 5k+1, under
+    its own recipe kind.
     """
     if k < 3 or d3 < 5 * k + 1:
         raise ConstructionError("requires k >= 3 and d3 >= 5k+1")
-    d2 = 4 * k + 2
-    choice = None
-    for r in range(k - 1, k + 3):
-        rest = d3 - d2 - r
-        if rest >= 0 and rest % 4 == 0:
-            choice = (r, rest // 4)
-            break
-    if choice is None:
-        raise ConstructionError(f"no (r, q) decomposition of d3={d3} for k={k}")
-    r, q = choice
-    a = [Fraction(1)]
-    for s in range(1, k + 1):
-        cross = sum(a[l] * a[s - l] for l in range(1, s))
-        a.append((Fraction(comb(2 * k + 1, s)) - cross) / 2)
-    n = 3
-    mid = Polynomial.monomial(n, (0, 0, r))
-    for l, al in enumerate(a):
-        mid = mid + Polynomial.monomial(n, (l, 0, d2 - 4 * l), al)
-    e1 = elementary(n, 0, Polynomial.monomial(n, (0, 0, 4)))
-    e2 = elementary(n, 1, mid)
-    u = Polynomial.variable(n, 0)
-    v = Polynomial.variable(n, 1)
-    g = elementary(n, 2, (u ** (2 * k + 1) - v ** 2) * u ** q)
-    f1 = Polynomial.variable(n, 0) + Polynomial.monomial(n, (0, 0, 4))
-    f2 = Polynomial.variable(n, 1) + mid
-    cancel = int((f1 ** (2 * k + 1) - f2 ** 2).total_degree())
-    if cancel != d2 + r:
-        raise ConstructionError(
-            f"cancellation failed: got degree {cancel}, expected {d2 + r}")
-    recipe = WitnessRecipe("four_k2", {"k": k, "d3": d3})
-    return _finish((4, d2, d3), recipe, [g, e1, e2], cancel)
+    return replace(build_tab_tail(4, 4 * k + 2, d3),
+                   recipe=WitnessRecipe("four_k2", {"k": k, "d3": d3}))
 
-
-# ---------------------------------------------------------------------------
-# the lcm-tail construction
-# ---------------------------------------------------------------------------
 
 def build_tab_tail(a: int, b: int, d3: int) -> Witness:
     """Witness with mdeg (a, b, d3) for 1 < a < b and d3 in the covered tail
-    d3 >= lcm(a,b) - r, r = min(b-1, (a-1)(floor(b/a)+1)).
+    d3 >= tab_tail_start(a, b).
 
     With at = a/g, bt = b/g (g = gcd), coefficients a_0..a_{floor(b/a)} are
     chosen so that (x+z^a)^{bt} - (y + z^p + sum a_l x^l z^{b-l a})^{at} drops
-    to degree p + b(at-1); the last factor adds (u^{bt} - v^{at}) u^q.
+    to degree p + b(at-1); the last factor adds (u^{bt} - v^{at}) u^q, so the
+    cancellation degree is d3 - a*q.
     """
     if not 1 < a < b:
         raise ConstructionError("requires 1 < a < b")
-    g = gcd(a, b)
-    at, bt = a // g, b // g
-    big_l = b // a
-    r = min(b - 1, (a - 1) * (big_l + 1))
-    low = lcm(a, b) - r
+    low = tab_tail_start(a, b)
     if d3 < low:
         raise ConstructionError(f"d3={d3} below covered tail (starts at {low})")
-    base = b * (at - 1)
-    m = next((m for m in range(low, low + a) if (d3 - m) % a == 0), None)
+    g = gcd(a, b)
+    at, bt = a // g, b // g
+    # low = lcm(a, b) - r with a <= r <= b - 1, so 1 <= p <= b - 1 and q >= 0
+    m = next(m for m in range(low, low + a) if (d3 - m) % a == 0)
     q = (d3 - m) // a
-    p = m - base
-    if not 1 <= p <= b - 1 or q < 0:
-        raise ConstructionError(f"no valid (p, q) for (a, b, d3)=({a}, {b}, {d3})")
+    p = m - b * (at - 1)
     # univariate forward substitution: [X^s](P^at) = C(bt, s) for s <= floor(b/a)
     coeffs = [Fraction(1)]
-    for s in range(1, big_l + 1):
+    for s in range(1, b // a + 1):
         partial = Polynomial(1, {(l,): c for l, c in enumerate(coeffs)})
         got = (partial ** at).coefficient((s,))
         coeffs.append((comb(bt, s) - got) / at)
@@ -297,19 +266,10 @@ def build_tab_tail(a: int, b: int, d3: int) -> Witness:
     mid = Polynomial.monomial(n, (0, 0, p))
     for l, al in enumerate(coeffs):
         mid = mid + Polynomial.monomial(n, (l, 0, b - l * a), al)
-    e1 = elementary(n, 0, Polynomial.monomial(n, (0, 0, a)))
-    e2 = elementary(n, 1, mid)
     u = Polynomial.variable(n, 0)
     v = Polynomial.variable(n, 1)
-    gf = elementary(n, 2, (u ** bt - v ** at) * u ** q)
-    f1 = Polynomial.variable(n, 0) + Polynomial.monomial(n, (0, 0, a))
-    f2 = Polynomial.variable(n, 1) + mid
-    cancel = int((f1 ** bt - f2 ** at).total_degree())
-    if cancel != p + base:
-        raise ConstructionError(
-            f"cancellation failed: got degree {cancel}, expected {p + base}")
     recipe = WitnessRecipe("tab_tail", {"a": a, "b": b, "d3": d3})
-    return _finish((a, b, d3), recipe, [gf, e1, e2], cancel)
+    return _cancellation_chain((a, b, d3), recipe, a, mid, u ** bt - v ** at, q)
 
 
 def tab_tail_start(a: int, b: int) -> int:

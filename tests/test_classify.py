@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from tamedeg.classify import (PRIME_TEST_BOUND, Status, _is_prime, classify,
-                              enumerate_classifications)
+from tamedeg.classify import (PRIME_TEST_BOUND, Status, _applicable_rules,
+                              _is_prime, classify, enumerate_classifications)
 from tamedeg.semigroup import SemigroupPair, frobenius
 
 
@@ -133,3 +133,16 @@ class TestStructuralProperties:
         assert len(rows) == sum(1 for a in range(1, 9)
                                 for b in range(a, 9)
                                 for c in range(b, 9))
+
+    def test_rule_ladder_is_consistent(self):
+        # no triple has a Realizable hit next to a NotRealizable, Unknown or
+        # ConditionalOnJC2 one, so the priority order only picks the label
+        count = 0
+        for a in range(1, 71):
+            for b in range(a, 71):
+                for c in range(b, 71):
+                    statuses = {h.status for h in _applicable_rules((a, b, c))}
+                    assert Status.REALIZABLE not in statuses or len(statuses) == 1, \
+                        ((a, b, c), statuses)
+                    count += 1
+        assert count == 59_640

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +89,22 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(path))
         assert code == 1
         assert out.strip() == "MISMATCH"
+
+    def test_module_entry_point(self, capsys, tmp_path):
+        # python -m tamedeg.cli runs main and exits with its code
+        code, out, _ = run(capsys, "decide", "5", "7", "24",
+                           "--witness", "--json")
+        witness = json.loads(out)["witness"]
+        witness["target"] = [5, 7, 25]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(witness))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "tamedeg.cli", "verify",
+                               str(path)], capture_output=True, text=True, env=env)
+        assert proc.returncode == 1
+        assert proc.stdout == "MISMATCH\n"
 
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "verify", "/nonexistent/w.json")

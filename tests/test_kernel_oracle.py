@@ -1,12 +1,14 @@
-"""Differential tests of the product kernel.
+"""Differential tests of the product kernel and the map operations on it.
 
 ``Polynomial.__mul__`` clears denominators and multiplies packed integer
 keys; ``substitute`` sums scaled products into one dict.  Both are checked
 against a pairwise ``Fraction`` oracle on exponent tuples, and every stored
-coefficient must be a nonzero, normalised ``Fraction``.
+coefficient must be a nonzero, normalised ``Fraction``.  ``PolyMap.compose``
+and ``PolyMap.jacobian_determinant`` are checked against sympy.
 """
+import itertools
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 
 import pytest
 
@@ -14,6 +16,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from tamedeg.maps import PolyMap  # noqa: E402
 from tamedeg.poly import Polynomial  # noqa: E402
 
 coefficients = st.one_of(
@@ -111,3 +114,68 @@ def test_substitute_cancels_to_zero(c):
         assert_clean(f.substitute([s * s, s]), {})
     args = [t * t, t + Fraction(1, 3)]
     assert_clean(f.substitute(args), oracle_substitute(f, args))
+
+
+# ---------------------------------------------------------------------------
+# compose and jacobian_determinant against sympy
+# ---------------------------------------------------------------------------
+
+@st.composite
+def small_polynomials(draw, n, max_degree):
+    """Sparse operands (a few monomials with gaps) or dense ones (most
+    monomials up to max_degree), with small exponents so that sympy can
+    expand their compositions."""
+    monomials = [e for e in itertools.product(range(max_degree + 1), repeat=n)
+                 if sum(e) <= max_degree]
+    if draw(st.booleans()):
+        exps = draw(st.lists(st.sampled_from(monomials), max_size=3, unique=True))
+    else:
+        exps = [e for e in monomials if draw(st.integers(0, 4))]
+    return Polynomial(n, {e: draw(coefficients) for e in exps})
+
+
+def small_maps(n, max_degree):
+    return st.lists(small_polynomials(n, max_degree), min_size=n,
+                    max_size=n).map(lambda comps: PolyMap(tuple(comps)))
+
+
+def to_sympy(p, gens):
+    zero = gens[0] * 0
+    return sum((c * prod((g ** e for g, e in zip(gens, exps)), start=zero + 1)
+                for exps, c in p.terms.items()), start=zero)
+
+
+def from_sympy(expr, gens):
+    return {exps: Fraction(int(c.p), int(c.q))
+            for exps, c in expr.expand().as_poly(*gens).as_dict().items()}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    small_maps(n, 3), small_maps(n, 2), small_maps(n, 3), st.booleans())))
+def test_compose_matches_sympy(data):
+    sympy = pytest.importorskip("sympy")
+    f, g, d, diagonal = data
+    n = f.n
+    if diagonal:
+        # every inner component equals the first, and f gains d - d.swap,
+        # where swap exchanges the first two variables: those terms cancel
+        g = PolyMap((g.components[0],) * n)
+        swap = PolyMap(tuple(Polynomial.variable(n, i)
+                             for i in ([1, 0, 2][:n] if n > 1 else [0])))
+        f = PolyMap(tuple(c + e - s for c, e, s in
+                          zip(f.components, d.components, d.compose(swap).components)))
+    gens = sympy.symbols(f"t0:{n}")
+    inner = dict(zip(gens, [to_sympy(c, gens) for c in g.components]))
+    composed = f.compose(g)
+    for got, comp in zip(composed.components, f.components):
+        assert_clean(got, from_sympy(to_sympy(comp, gens).xreplace(inner), gens))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: small_maps(n, 3)))
+def test_jacobian_determinant_matches_sympy(f):
+    sympy = pytest.importorskip("sympy")
+    gens = sympy.symbols(f"t0:{f.n}")
+    matrix = sympy.Matrix([to_sympy(c, gens) for c in f.components]).jacobian(gens)
+    assert_clean(f.jacobian_determinant(), from_sympy(matrix.det(), gens))

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -135,6 +136,20 @@ class TestStructure:
             monkeypatch.setattr(Polynomial, name, counted)
         assert f.substitute(args) == expected
         assert constant_operands == []
+
+    def test_substitute_keeps_only_used_powers(self):
+        # y^400 at y + z^3 needs only the 400th power; holding every power
+        # up to it takes memory cubic in the exponent (about 19 MB here)
+        f = Polynomial.monomial(3, (0, 400, 0))
+        args = [p("x"), p("y + z^3"), p("z")]
+        tracemalloc.start()
+        try:
+            g = f.substitute(args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(g.terms) == 401
+        assert peak < 2_000_000
 
     def test_variables(self):
         assert p("x*z + 1").variables() == {0, 2}

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -63,6 +64,12 @@ class TestPlaneAndPadding:
             build_padding(sub, (2, 3, 5), [0, 2])
 
 
+def measured_cancellation(w, at, bt):
+    """deg(F1^bt - F2^at) for F = factors[1] . factors[2], computed directly."""
+    f1, f2, _ = w.factors[1].map.compose(w.factors[2].map).components
+    return int((f1 ** bt - f2 ** at).total_degree())
+
+
 class TestFourSix:
     def test_both_variants(self):
         for variant, cancel in [(9, 9), (7, 7)]:
@@ -70,6 +77,7 @@ class TestFourSix:
                 w = build_469_family(k, variant)
                 assert w.verified_mdeg == (4, 6, variant + 4 * k)
                 assert w.cancellation_degree == cancel
+                assert measured_cancellation(w, 2, 3) == cancel
 
     def test_covers_all_odd_tails(self):
         # every odd d3 >= 7 is variant + 4k for exactly one variant in {7, 9}
@@ -90,6 +98,15 @@ class TestFourK2:
                 r = next(rr for rr in range(k - 1, k + 3)
                          if (d3 - d2 - rr) % 4 == 0)
                 assert w.cancellation_degree == d2 + r
+
+    def test_is_the_tail_at_four_4k_plus_2(self):
+        for k in range(3, 12):
+            assert tab_tail_start(4, 4 * k + 2) == 5 * k + 1
+        for k, d3 in [(3, 16), (4, 27), (7, 40)]:
+            w, tail = build_4k2(k, d3), build_tab_tail(4, 4 * k + 2, d3)
+            assert w.recipe == WitnessRecipe("four_k2", {"k": k, "d3": d3})
+            assert w.factors == tail.factors
+            assert w.cancellation_degree == tail.cancellation_degree
 
     def test_first_coefficient_value(self):
         # a_1 = C(2k+1, 1) / 2 shows up as the x z^{4k-2} coefficient
@@ -119,6 +136,12 @@ class TestTabTail:
         w = build_tab_tail(5, 6, 25)
         assert w.verified_mdeg == (5, 6, 25)
         assert w.cancellation_degree == 25
+
+    def test_cancellation_degree_is_measured(self):
+        for a, b, d3 in [(4, 6, 7), (4, 14, 31), (5, 6, 25), (6, 9, 20), (3, 11, 40)]:
+            w = build_tab_tail(a, b, d3)
+            g = gcd(a, b)
+            assert measured_cancellation(w, a // g, b // g) == w.cancellation_degree
 
     def test_four_ten_tail(self):
         for d3 in range(11, 32, 2):
