@@ -7,6 +7,7 @@ Exit codes for decide: 0 Realizable, 1 NotRealizable, 2 Unknown,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -35,6 +36,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# Built once per process: every parse_args call fills a new Namespace.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tamedeg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -196,22 +196,14 @@ def affine(matrix: Sequence[Sequence], vector: Sequence | None = None) -> Factor
     v = [Fraction(0)] * n if vector is None else [Fraction(x) for x in vector]
     if len(v) != n:
         raise ValueError("vector length differs from matrix size")
-    xs = [Polynomial.variable(n, j) for j in range(n)]
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
 
     def rows_to_map(rows, shift):
-        comps = []
-        for i in range(n):
-            c = Polynomial.constant(n, shift[i])
-            for j in range(n):
-                if rows[i][j]:
-                    c = c + xs[j].scale(Fraction(rows[i][j]))
-            comps.append(c)
-        return PolyMap(tuple(comps))
+        return PolyMap(tuple(Polynomial(n, [((0,) * n, c), *zip(units, row)])
+                             for row, c in zip(rows, shift)))
 
-    fwd = rows_to_map(matrix, v)
-    inv_shift = [-x for x in linalg.mat_vec(m_inv, v)]
-    inv = rows_to_map(m_inv, inv_shift)
-    return Factor("affine", fwd, inv)
+    inv_shift = [-sum(x * y for x, y in zip(row, v)) for row in m_inv]
+    return Factor("affine", rows_to_map(matrix, v), rows_to_map(m_inv, inv_shift))
 
 
 def linear_map(matrix: Sequence[Sequence]) -> Factor:

@@ -60,11 +60,6 @@ class Decomposition:
         return compose_all(chain)
 
 
-def _univariate(f: Polynomial, var: int) -> Polynomial:
-    """Reinterpret a 2-var polynomial involving only ``var`` as a poly in x."""
-    return Polynomial(2, {(e[var], 0): c for e, c in f.terms.items()})
-
-
 def _tri_factor(f_of_x: Polynomial, form: int) -> Factor:
     """form 1: (x, y + f(x)); form 2: (x + f(y), y).  f given in variable x."""
     if form == 1:
@@ -79,9 +74,8 @@ def _is_affine(m: PolyMap) -> bool:
 
 def _as_affine_factor(m: PolyMap) -> Factor:
     n = m.n
-    rows = [[c.homogeneous_part(1).coefficient(
-        tuple(1 if t == j else 0 for t in range(n))) for j in range(n)]
-        for c in m.components]
+    units = [tuple(int(t == j) for t in range(n)) for j in range(n)]
+    rows = [[c.coefficient(e) for e in units] for c in m.components]
     vec = [c.constant_term() for c in m.components]
     return affine(rows, vec)
 

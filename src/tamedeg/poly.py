@@ -11,13 +11,16 @@ The text grammar accepts variables ``x1..x9`` or declared aliases such as
 ``x, y, z``; integer and ``p/q`` rational literals (``q`` nonzero); operators
 ``+ - * ^`` and parentheses.  Implicit multiplication is forbidden.  Unary
 minus binds looser than ``^`` (``x*-y^2`` is ``-x*y^2``), parentheses and
-unary minus signs nest at most ``MAX_NESTING`` deep, and a ``^`` exponent is
-at most ``MAX_EXPONENT``.  Canonical printing is graded-lexicographic
-descending with explicit ``*`` and coefficient 1 suppressed.
+unary minus signs nest at most ``MAX_NESTING`` deep, a ``^`` exponent is at
+most ``MAX_EXPONENT``, and a number has at most as many digits as ``int()``
+converts (``sys.get_int_max_str_digits()``).  Canonical printing is
+graded-lexicographic descending with explicit ``*`` and coefficient 1
+suppressed.
 """
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Sequence, Union
@@ -411,6 +414,10 @@ MAX_NESTING = 100
 # cost time and memory out of proportion to the text.
 MAX_EXPONENT = 10_000
 
+# int() refuses digit strings longer than this many digits (0: no limit).
+# Python releases before 3.10.7 have no limit and no getter.
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
 
 def _tokenize(text: str):
     tokens = []
@@ -507,6 +514,9 @@ class _Parser:
                 raise ParseError("expected ')'", pos)
             self.depth -= 1
         elif kind == "num":
+            limit = _int_max_str_digits()
+            if limit and len(val) > limit and any(len(d) > limit for d in val.split("/")):
+                raise ParseError(f"number literal longer than {limit} digits", pos)
             if "/" in val:
                 num, den = map(int, val.split("/"))
                 if not den:
@@ -529,9 +539,10 @@ class _Parser:
             if kind != "num" or "/" in val:
                 raise ParseError("exponent must be a nonnegative integer", pos)
             # the length test keeps int() off digit strings it refuses
-            if len(val.lstrip("0")) > len(str(MAX_EXPONENT)) or int(val) > MAX_EXPONENT:
+            digits = val.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
                 raise ParseError(f"exponent larger than {MAX_EXPONENT}", pos)
-            k = int(val)
+            k = int(digits)
         if var is not None:
             exps[var] += k
             return 1

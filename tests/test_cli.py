@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from tamedeg import cli
 from tamedeg.classify import PRIME_TEST_BOUND
 from tamedeg.cli import EXIT_USAGE, main
 from tamedeg.maps import PolyMap, elementary, gallery
@@ -249,6 +250,37 @@ class TestUsage:
     def test_missing_arguments(self, capsys):
         assert run(capsys, "decide", "3")[0] == EXIT_USAGE
 
+    def test_cached_parser_matches_fresh_parsers(self, capsys, tmp_path, monkeypatch):
+        """The parser is built once per process; no option value, default or
+        error state may carry from one call to the next."""
+        plane = tmp_path / "plane.json"
+        plane.write_text(json.dumps({"n": 2, "components": ["x + y^2", "y"]}))
+        triangular = tmp_path / "tri.json"
+        triangular.write_text(json.dumps({"n": 3, "components": ["x", "y", "z + x^2*y"]}))
+        calls = [
+            ["decide", "5", "7", "24", "--json"], ["decide", "3", "4", "5"],
+            ["decide", "3", "4"], ["decide", "2", "3", "5", "--witness"],
+            ["semigroup", "3", "5", "--k", "7", "--json"], ["semigroup", "3", "5", "--gaps"],
+            ["semigroup", "3", "5"], ["enumerate", "--max", "3", "--format", "json"],
+            ["enumerate", "--max", "3"], ["enumerate", "--max", "3", "--format", "xml"],
+            ["gallery", "--mdeg"], ["gallery", "nagata", "--json"], ["gallery"],
+            ["analyze2", "--map", str(plane), "--decompose", "--inverse", "--json"],
+            ["analyze2", "--map", str(plane)], ["analyze2"],
+            ["reduce", "--map", str(triangular), "--target", "3", "--degy-bound", "2"],
+            ["reduce", "--map", str(triangular), "--target", "3", "--json"],
+            ["reduce", "--map", str(triangular)], ["bogus"], [], ["decide", "1", "2", "x"],
+        ]
+
+        def outcomes():
+            return [run(capsys, *argv) for argv in calls]
+
+        cached = outcomes()
+        assert outcomes() == cached
+        assert cli._build_parser() is cli._build_parser()
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        assert outcomes() == cached
+        assert {code for code, _, _ in cached} >= {0, 1, EXIT_USAGE}
+
     @pytest.mark.parametrize("argv, content", [
         (["analyze2", "--map"], {"n": 2}),
         (["reduce", "--target", "1", "--map"], {"n": 2}),
@@ -264,6 +296,7 @@ class TestUsage:
         (["analyze2", "--map"], {"n": 2, "components": ["x + y^1000000", "y"]}),
         (["verify"], {"target": [1, 1, 10001], "recipe": None, "factors": [
             {"n": 3, "components": ["x", "y", "z + x^10001"]}]}),
+        (["analyze2", "--map"], {"n": 2, "components": ["x + " + "9" * 5000 + "*y^2", "y"]}),
     ])
     def test_malformed_file(self, capsys, tmp_path, argv, content):
         path = tmp_path / "in.json"

@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -8,6 +9,9 @@ from hypothesis import strategies as st
 
 from tamedeg.poly import (MAX_EXPONENT, NEG_INF, DimensionMismatch, ParseError,
                           Polynomial, format_poly, parse_poly)
+
+
+_INT_DIGITS = sys.get_int_max_str_digits()
 
 
 def p(text, n=3):
@@ -193,6 +197,8 @@ class TestParsePrint:
         ("2*(x - 3/0)^2", "zero denominator in '3/0'", 7),
         ("y^10001", "exponent larger than 10000", 2),
         ("x + (x*y)^4000000", "exponent larger than 10000", 10),
+        # int() refuses longer digit strings
+        ("x + 2/" + "7" * (_INT_DIGITS + 1), f"number literal longer than {_INT_DIGITS} digits", 4),
     ])
     def test_error_messages_and_positions(self, text, message, position):
         with pytest.raises(ParseError) as info:
@@ -228,6 +234,7 @@ class TestParsePrint:
         # longer than int() converts by default
         with pytest.raises(ParseError, match=r"^exponent larger than 10000 \(at position 2\)$"):
             parse_poly("x^" + "9" * 5000, n=1)
+        assert parse_poly("x^" + "0" * 5000 + "7", n=1) == Polynomial.monomial(1, (7,))
 
     def test_canonical_text_parses_without_ring_products(self, monkeypatch):
         rng = random.Random(5)
