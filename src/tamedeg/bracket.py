@@ -70,8 +70,8 @@ def is_power_proportional(hbar: Polynomial, fbar: Polynomial
         return None
     k = dh // df
     power = fbar ** k
-    exps = next(iter(power.terms))
-    c = hbar.coefficient(exps) / power.terms[exps]
+    exps = next(iter(power.numerators))
+    c = hbar.coefficient(exps) / power.coefficient(exps)
     if not c:
         return None
     return (c, k) if power.scale(c) == hbar else None

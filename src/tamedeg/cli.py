@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 from . import plane, reductions, semigroup, witness
 from .classify import Status, classify, enumerate_classifications
 from .maps import PolyMap, gallery, gallery_names
-from .poly import ParseError, format_poly
+from .poly import MAX_EXPONENT, ParseError, format_poly
 
 EXIT_USAGE = 64
 
@@ -91,6 +91,10 @@ def _load_map(path: str) -> PolyMap:
 
 def _cmd_decide(args) -> int:
     d1, d2, d3 = args.degrees
+    if args.witness and max(args.degrees) > MAX_EXPONENT:
+        # a witness file may print no exponent above MAX_EXPONENT, and the
+        # build time grows about quadratically in the degree
+        raise _UsageError(f"--witness needs every degree at most {MAX_EXPONENT}")
     result = classify(d1, d2, d3)
     payload = {
         "input": list(result.original),

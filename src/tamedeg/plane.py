@@ -64,7 +64,8 @@ def _tri_factor(f_of_x: Polynomial, form: int) -> Factor:
     """form 1: (x, y + f(x)); form 2: (x + f(y), y).  f given in variable x."""
     if form == 1:
         return elementary(2, 1, f_of_x)
-    flipped = Polynomial(2, {(e[1], e[0]): c for e, c in f_of_x.terms.items()})
+    flipped = Polynomial._make(2, {(e[1], e[0]): v for e, v in f_of_x.numerators.items()},
+                               f_of_x.denominator)
     return elementary(2, 0, flipped)
 
 

@@ -1,11 +1,15 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
-A polynomial is a finite map from exponent tuples to nonzero, normalised
-Fractions, together with a fixed variable count ``n``.  The zero polynomial
-has total degree ``NEG_INF`` (a float -inf sentinel, comparable with ints).
-Every product runs on integers: each operand is scaled by the lcm of its
-denominators, the term pairs multiply as ints, and each output coefficient
-becomes a Fraction once.
+A polynomial is stored as FLINT's ``fmpq_mpoly`` stores one, an integer
+polynomial over one denominator: ``numerators`` maps exponent tuples to
+nonzero ints and ``denominator`` is a positive int, in lowest terms (the gcd
+of the denominator and every numerator is 1), so each polynomial has exactly
+one stored form.  It has a fixed variable count ``n``.  Every ring operation
+runs on ints; ``terms``, the map from exponent tuples to normalised
+Fractions, is built on first read for callers that want Fractions.  The zero
+polynomial has total degree ``NEG_INF`` (a float -inf sentinel, comparable
+with ints).  Products pack each exponent tuple into one int, so a term pair
+costs one int add and one int multiply-add.
 
 The text grammar accepts variables ``x1..x9`` or declared aliases such as
 ``x, y, z``; integer and ``p/q`` rational literals (``q`` nonzero); operators
@@ -15,14 +19,17 @@ unary minus signs nest at most ``MAX_NESTING`` deep, a ``^`` exponent is at
 most ``MAX_EXPONENT``, and a number has at most as many digits as ``int()``
 converts (``sys.get_int_max_str_digits()``).  Canonical printing is
 graded-lexicographic descending with explicit ``*`` and coefficient 1
-suppressed.
+suppressed; a coefficient with more digits than that limit cannot be
+printed and raises ``ValueError``.
 """
 from __future__ import annotations
 
 import re
 import sys
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm, prod
+from operator import mul
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
 NEG_INF = float("-inf")
@@ -40,24 +47,83 @@ class ParseError(ValueError):
         self.position = position
 
 
-def _as_fraction(c: Scalar) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
+def _check_scalar(c) -> None:
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
+
+
+def _layout(n: int, width: int) -> tuple[tuple[int, ...], int]:
+    """Bit offsets and field mask for packing ``n`` exponents of at most
+    ``width`` bits each into one int."""
+    return tuple(width * i for i in range(n)), (1 << width) - 1
+
+
+def _pack(numerators: Mapping, shifts: tuple[int, ...]) -> dict[int, int]:
+    """Each exponent tuple as one int.  Fields wide enough for the largest
+    exponent of a product never carry into each other when keys are added."""
+    out = {}
+    for exps, v in numerators.items():
+        key = 0
+        for e, s in zip(exps, shifts):
+            key |= e << s
+        out[key] = v
+    return out
+
+
+def _unpack(packed: dict[int, int], shifts: tuple[int, ...], mask: int) -> dict:
+    return {tuple([(k >> s) & mask for s in shifts]): v for k, v in packed.items()}
+
+
+def _mul_packed(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """The product of two packed integer polynomials, zero terms dropped."""
+    if len(a) > len(b):
+        a, b = b, a
+    pairs = list(b.items())
+    out: dict[int, int] = {}
+    get = out.get
+    for ea, ca in a.items():
+        for eb, cb in pairs:
+            key = ea + eb
+            out[key] = get(key, 0) + ca * cb
+    return {k: v for k, v in out.items() if v}
+
+
+def _sum(n: int, items: Iterable, res: "Polynomial | None" = None) -> "Polynomial":
+    """The Polynomial sum of ``(exps, numerator, denominator)`` terms, each
+    denominator positive.  Terms are summed per denominator and the partial
+    sums brought to their lcm once, so the cost is linear in the terms even
+    when the common denominator grows with each new one."""
+    by_den: dict[int, dict] = {}
+    for exps, num, den in items:
+        acc = by_den.get(den)
+        if acc is None:
+            acc = by_den[den] = {}
+        acc[exps] = acc.get(exps, 0) + num
+    den = lcm(*by_den)
+    if len(by_den) == 1:
+        (out,) = by_den.values()
+    else:
+        out = {}
+        for d, acc in by_den.items():
+            f = den // d
+            for exps, v in acc.items():
+                out[exps] = out.get(exps, 0) + v * f
+    return Polynomial._make(n, {e: v for e, v in out.items() if v}, den, res)
 
 
 class Polynomial:
-    """Immutable sparse polynomial in ``n`` variables over the rationals."""
+    """Immutable sparse polynomial in ``n`` variables over the rationals.
 
-    __slots__ = ("n", "terms", "_hash")
+    ``numerators`` and ``denominator`` are the stored form; callers may read
+    them but must not change the dict."""
+
+    __slots__ = ("n", "numerators", "denominator", "_terms", "_hash")
 
     def __init__(self, n: int, terms: Mapping[tuple, Scalar] | Iterable = ()):
         if n < 0:
             raise ValueError("variable count must be nonnegative")
-        clean: dict[tuple[int, ...], Fraction] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
+        rationals = []
         for exps, coeff in items:
             exps = tuple(exps)
             if len(exps) != n:
@@ -65,36 +131,54 @@ class Polynomial:
                     f"exponent tuple {exps} has length {len(exps)}, expected {n}")
             if any(e < 0 or not isinstance(e, int) for e in exps):
                 raise ValueError(f"exponents must be nonnegative integers: {exps}")
-            c = _as_fraction(coeff)
-            if c:
-                acc = clean.get(exps)
-                c = c if acc is None else acc + c
-                if c:
-                    clean[exps] = c
-                else:
-                    del clean[exps]
-        Polynomial._make(n, clean, self)
+            _check_scalar(coeff)
+            rationals.append((exps, coeff.numerator, coeff.denominator))
+        _sum(n, rationals, self)
 
     @classmethod
-    def _make(cls, n: int, terms: dict, res: "Polynomial | None" = None) -> "Polynomial":
-        """The one place a Polynomial's fields are set.  ``terms`` must already
-        be clean: exponent tuples of length ``n`` mapped to nonzero Fractions.
-        ``res`` is an instance under ``__init__``; omitted, a new one is made."""
+    def _make(cls, n: int, numerators: dict, denominator: int = 1,
+              res: "Polynomial | None" = None) -> "Polynomial":
+        """The one place a Polynomial's fields are set.  ``numerators`` maps
+        exponent tuples of length ``n`` to nonzero ints and ``denominator`` is
+        a positive int; here they are brought to lowest terms.  ``res`` is an
+        instance under ``__init__``; omitted, a new one is made."""
+        if denominator != 1:
+            g = denominator
+            for v in numerators.values():
+                g = gcd(g, v)
+                if g == 1:
+                    break
+            if g != 1:
+                denominator //= g
+                numerators = {e: v // g for e, v in numerators.items()}
         if res is None:
             res = cls.__new__(cls)
         object.__setattr__(res, "n", n)
-        object.__setattr__(res, "terms", terms)
+        object.__setattr__(res, "numerators", numerators)
+        object.__setattr__(res, "denominator", denominator)
+        object.__setattr__(res, "_terms", None)
         object.__setattr__(res, "_hash", None)
         return res
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], Fraction]:
+        """Read-only map from exponent tuples to nonzero, normalised
+        Fractions, built on first read."""
+        t = self._terms
+        if t is None:
+            d = self.denominator
+            t = MappingProxyType({e: Fraction(v, d) for e, v in self.numerators.items()})
+            object.__setattr__(self, "_terms", t)
+        return t
+
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, n: int) -> "Polynomial":
-        return cls(n)
+        return cls._make(n, {})
 
     @classmethod
     def constant(cls, n: int, c: Scalar) -> "Polynomial":
@@ -116,38 +200,37 @@ class Polynomial:
     # -- basic queries -------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.numerators
 
     def is_constant(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        return all(not any(e) for e in self.numerators)
 
     def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.n, Fraction(0))
+        return self.coefficient((0,) * self.n)
 
     def coefficient(self, exps: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+        return Fraction(self.numerators.get(tuple(exps), 0), self.denominator)
 
     def total_degree(self):
         """Max monomial degree; NEG_INF for the zero polynomial."""
-        if not self.terms:
+        if not self.numerators:
             return NEG_INF
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.numerators))
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
+        return len(set(map(sum, self.numerators))) <= 1
 
     def variables(self) -> set[int]:
         """Indices of variables actually occurring."""
         used: set[int] = set()
-        for exps in self.terms:
+        for exps in self.numerators:
             for i, e in enumerate(exps):
                 if e:
                     used.add(i)
         return used
 
     def involves(self, i: int) -> bool:
-        return any(exps[i] for exps in self.terms)
+        return any(exps[i] for exps in self.numerators)
 
     # -- ring operations -----------------------------------------------
 
@@ -161,20 +244,24 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            acc = out.get(exps)
-            s = c if acc is None else acc + c
+        da, db = self.denominator, other.denominator
+        den = lcm(da, db)
+        fa, fb = den // da, den // db
+        out = (dict(self.numerators) if fa == 1
+               else {e: v * fa for e, v in self.numerators.items()})
+        for exps, v in other.numerators.items():
+            s = out.get(exps, 0) + v * fb
             if s:
                 out[exps] = s
-            elif acc is not None:
+            else:
                 del out[exps]
-        return Polynomial._make(self.n, out)
+        return Polynomial._make(self.n, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Polynomial._make(self.n, {e: -c for e, c in self.terms.items()})
+        return Polynomial._make(self.n, {e: -v for e, v in self.numerators.items()},
+                                self.denominator)
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -187,10 +274,12 @@ class Polynomial:
         return (-self) + other
 
     def scale(self, c: Scalar) -> "Polynomial":
-        c = _as_fraction(c)
+        _check_scalar(c)
         if not c:
             return Polynomial.zero(self.n)
-        return Polynomial._make(self.n, {e: c * v for e, v in self.terms.items()})
+        p = c.numerator
+        return Polynomial._make(self.n, {e: v * p for e, v in self.numerators.items()},
+                                self.denominator * c.denominator)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -198,74 +287,43 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        a, b = self.terms, other.terms
+        a, b = self.numerators, other.numerators
         if not a or not b:
             return Polynomial.zero(self.n)
-        if len(a) > len(b):
-            a, b = b, a
-        # Exponent tuples are packed into single ints so that the inner loop is
-        # one int add plus one dict update.  Each variable's field is wide
-        # enough for the largest exponent sum, so additions never carry across
-        # fields.
         n = self.n
         width = (max(map(max, a)) + max(map(max, b))).bit_length() if n else 0
-        shifts = tuple(width * i for i in range(n))
-        mask = (1 << width) - 1
-
-        def pack(exps):
-            key = 0
-            for e, s in zip(exps, shifts):
-                key |= e << s
-            return key
-
-        # Each operand is cleared of denominators: a coefficient c becomes the
-        # integer c*D, with D the lcm of that operand's denominators.  Every
-        # term pair is then one int multiply-add, not Fraction arithmetic,
-        # and each output coefficient is normalised once, as Fraction(v, Da*Db).
-        # D = 1 for an integer polynomial; the tests on it skip a division per
-        # term and a gcd per output coefficient.
-        def cleared(terms):
-            d = lcm(*[c.denominator for c in terms.values()])
-            return d, [(pack(e), c.numerator if d == 1 else c.numerator * (d // c.denominator))
-                       for e, c in terms.items()]
-
-        da, ai = cleared(a)
-        db, bi = cleared(b)
-        out: dict[int, int] = {}
-        get = out.get
-        for ea, ca in ai:
-            for eb, cb in bi:
-                key = ea + eb
-                out[key] = get(key, 0) + ca * cb
-        d = da * db
-        return Polynomial._make(n, {tuple((k >> s) & mask for s in shifts):
-                                    Fraction(v) if d == 1 else Fraction(v, d)
-                                    for k, v in out.items() if v})
+        shifts, mask = _layout(n, width)
+        out = _mul_packed(_pack(a, shifts), _pack(b, shifts))
+        return Polynomial._make(n, _unpack(out, shifts, mask),
+                                self.denominator * other.denominator)
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> "Polynomial":
         if not isinstance(k, int) or k < 0:
             raise ValueError("exponent must be a nonnegative integer")
-        result = Polynomial.constant(self.n, 1)
+        if not k:
+            return Polynomial.constant(self.n, 1)
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result * base
+                result = base if result is None else result * base
             k >>= 1
-            if k:
-                base = base * base
-        return result
+            if not k:
+                return result
+            base = base * base
 
     # -- structure -----------------------------------------------------
 
     def homogeneous_part(self, d: int) -> "Polynomial":
         if d < 0:
             raise ValueError("degree must be nonnegative")
-        return Polynomial(self.n, {e: c for e, c in self.terms.items() if sum(e) == d})
+        return Polynomial._make(self.n, {e: v for e, v in self.numerators.items()
+                                         if sum(e) == d}, self.denominator)
 
     def leading_form(self) -> "Polynomial":
-        if not self.terms:
+        if not self.numerators:
             raise ValueError("zero polynomial has no leading form")
         return self.homogeneous_part(int(self.total_degree()))
 
@@ -273,13 +331,10 @@ class Polynomial:
         """Formal d/dx_i, 0-based index."""
         if not 0 <= i < self.n:
             raise IndexError(f"variable index {i} out of range for n={self.n}")
-        out: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self.terms.items():
-            e = exps[i]
-            if e:
-                key = exps[:i] + (e - 1,) + exps[i + 1:]
-                out[key] = out.get(key, Fraction(0)) + c * e
-        return Polynomial(self.n, out)
+        # distinct monomials containing x_i stay distinct after d/dx_i
+        out = {exps[:i] + (exps[i] - 1,) + exps[i + 1:]: v * exps[i]
+               for exps, v in self.numerators.items() if exps[i]}
+        return Polynomial._make(self.n, out, self.denominator)
 
     def substitute(self, args: Sequence["Polynomial"]) -> "Polynomial":
         """Evaluate at args: the image of self under x_i -> args[i]."""
@@ -287,42 +342,57 @@ class Polynomial:
             raise DimensionMismatch(
                 f"expected {self.n} substitution arguments, got {len(args)}")
         if not args:
-            return Polynomial(0, dict(self.terms))
+            return Polynomial._make(0, dict(self.numerators), self.denominator)
         m = args[0].n
         for a in args:
             if a.n != m:
                 raise DimensionMismatch("substitution arguments differ in variable count")
+        terms = self.numerators
+        if not terms:
+            return Polynomial.zero(m)
+        # Every product below is a factor of some monomial's image, so no
+        # exponent exceeds sum_i e_i * top_i, top_i the largest exponent in
+        # args[i]: fields of that width never carry.
+        tops = [max(map(max, a.numerators), default=0) if m else 0 for a in args]
+        width = max(sum(map(mul, exps, tops)) for exps in terms).bit_length()
+        shifts, mask = _layout(m, width)
         # Powers of each argument, built one multiply apart up to the largest
         # exponent that occurs; only the exponents some monomial uses are kept.
-        powers: list[dict[int, Polynomial]] = []
-        for a, column in zip(args, zip(*self.terms)):
-            wanted = set(column)
-            row, power = {}, a
+        columns = [set(column) for column in zip(*terms)]
+        powers: list[dict[int, dict[int, int]]] = []
+        for a, wanted in zip(args, columns):
+            base = _pack(a.numerators, shifts)
+            row, power = {}, base
             for e in range(1, max(wanted) + 1):
                 if e > 1:
-                    power = power * a
+                    power = _mul_packed(power, base)
                 if e in wanted:
                     row[e] = power
             powers.append(row)
-        # Each monomial multiplies only the powers it needs; c times its terms
-        # is summed into one dict.
-        one = (((0,) * m, 1),)
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for exps, c in self.terms.items():
-            prod = None
+        # The sum is taken over the common denominator den * prod_i d_i^E_i,
+        # with d_i the denominator of args[i] and E_i the largest exponent of
+        # x_i in self: a monomial c*x^e adds c * prod_i d_i^(E_i - e_i) times
+        # the numerators of its image.  Each monomial multiplies only the
+        # powers it needs.
+        rational = [(i, a.denominator, max(wanted))
+                    for i, (a, wanted) in enumerate(zip(args, columns)) if a.denominator != 1]
+        one = ((0, 1),)
+        acc: dict[int, int] = {}
+        get = acc.get
+        for exps, c in terms.items():
+            product = None
             for i, e in enumerate(exps):
                 if e:
-                    prod = powers[i][e] if prod is None else prod * powers[i][e]
-            for key, v in (one if prod is None else prod.terms.items()):
-                v = c * v
-                prev = acc.get(key)
-                if prev is not None:
-                    v += prev
-                if v:
-                    acc[key] = v
-                elif prev is not None:
-                    del acc[key]
-        return Polynomial._make(m, acc)
+                    power = powers[i][e]
+                    product = power if product is None else _mul_packed(product, power)
+            for i, d, e_max in rational:
+                if exps[i] != e_max:
+                    c *= d ** (e_max - exps[i])
+            for key, v in (one if product is None else product.items()):
+                acc[key] = get(key, 0) + c * v
+        den = self.denominator * prod(d ** e_max for _, d, e_max in rational)
+        return Polynomial._make(m, _unpack({k: v for k, v in acc.items() if v}, shifts, mask),
+                                den)
 
     # -- comparison / display -------------------------------------------
 
@@ -331,17 +401,18 @@ class Polynomial:
             other = Polynomial.constant(self.n, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.n == other.n and self.terms == other.terms
+        return (self.n == other.n and self.denominator == other.denominator
+                and self.numerators == other.numerators)
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = hash((self.n, frozenset(self.terms.items())))
+            h = hash((self.n, self.denominator, frozenset(self.numerators.items())))
             object.__setattr__(self, "_hash", h)
         return h
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.numerators)
 
     def __repr__(self):
         return f"Polynomial({self.n}, {format_poly(self)!r})"
@@ -366,17 +437,29 @@ def _grlex_key(exps: tuple[int, ...]):
     return (sum(exps), exps)
 
 
+def _coefficient_text(num: int, den: int) -> str:
+    """|num/den| as ``str(Fraction)`` prints it: ``p`` or ``p/q``, lowest terms."""
+    g = gcd(num, den)
+    num, den = abs(num) // g, den // g
+    try:
+        return str(num) if den == 1 else f"{num}/{den}"
+    except ValueError:  # more digits than int-to-text conversion allows
+        raise ValueError(f"coefficient longer than {_int_max_str_digits()} digits "
+                         "cannot be printed") from None
+
+
 def format_poly(p: Polynomial, varnames: Sequence[str] | None = None) -> str:
     """Canonical text: graded-lex descending, explicit '*', coeff 1 suppressed."""
     if varnames is None:
         varnames = default_varnames(p.n)
     if len(varnames) != p.n:
         raise DimensionMismatch("variable name list length differs from n")
-    if not p.terms:
+    if not p.numerators:
         return "0"
+    den = p.denominator
     pieces = []
-    for exps in sorted(p.terms, key=_grlex_key, reverse=True):
-        c = p.terms[exps]
+    for exps in sorted(p.numerators, key=_grlex_key, reverse=True):
+        v = p.numerators[exps]
         factors = []
         for name, e in zip(varnames, exps):
             if e == 1:
@@ -384,14 +467,13 @@ def format_poly(p: Polynomial, varnames: Sequence[str] | None = None) -> str:
             elif e > 1:
                 factors.append(f"{name}^{e}")
         mono = "*".join(factors)
-        ac = abs(c)
-        if mono and ac == 1:
+        if mono and abs(v) == den:
             body = mono
         elif mono:
-            body = f"{ac}*{mono}"
+            body = f"{_coefficient_text(v, den)}*{mono}"
         else:
-            body = str(ac)
-        pieces.append(("-" if c < 0 else "+", body))
+            body = _coefficient_text(v, den)
+        pieces.append(("-" if v < 0 else "+", body))
     sign, body = pieces[0]
     out = ("-" if sign == "-" else "") + body
     for sign, body in pieces[1:]:
@@ -436,8 +518,9 @@ class _Parser:
     and ``atom := number | name | '(' expr ')'``.
 
     A term of literals and variable powers is built as one monomial, and
-    ``expr`` sums terms into one dict, so canonical text parses in time
-    linear in its length.  Only parenthesised factors use ring operations.
+    ``expr`` sums the terms' integer numerators with ``_sum``, so canonical
+    text parses in time linear in its length.  Only parenthesised factors
+    use ring operations.
     """
 
     def __init__(self, text: str, varnames: Sequence[str]):
@@ -448,30 +531,26 @@ class _Parser:
         self.depth = 0
 
     def expr(self) -> Polynomial:
-        acc: dict[tuple[int, ...], Fraction] = {}
+        items = []
         kind, val, _ = self.tokens[self.i]
-        negate = kind == "op" and val == "-"
+        sign = -1 if kind == "op" and val == "-" else 1
         if kind == "op" and val in "+-":
             self.i += 1
         while True:
             t = self.term()
-            for exps, c in (t.terms.items() if isinstance(t, Polynomial) else (t,)):
-                if negate:
-                    c = -c
-                prev = acc.get(exps)
-                if prev is not None:
-                    c += prev
-                if c:
-                    acc[exps] = c
-                elif prev is not None:
-                    del acc[exps]
+            if isinstance(t, Polynomial):
+                den = t.denominator
+                items.extend((exps, sign * v, den) for exps, v in t.numerators.items())
+            else:
+                exps, c = t
+                items.append((exps, sign * c.numerator, c.denominator))
             kind, val, _ = self.tokens[self.i]
             if not (kind == "op" and val in "+-"):
-                return Polynomial._make(self.n, acc)
+                return _sum(self.n, items)
             self.i += 1
-            negate = val == "-"
+            sign = -1 if val == "-" else 1
 
-    def term(self) -> "tuple[tuple[int, ...], Fraction] | Polynomial":
+    def term(self) -> "tuple[tuple[int, ...], Scalar] | Polynomial":
         """One ``(exponents, coefficient)`` pair, or a Polynomial when the
         term has a parenthesised factor."""
         exps = [0] * self.n
@@ -489,7 +568,7 @@ class _Parser:
             elif kind in ("num", "name") or (kind == "op" and val == "("):
                 raise ParseError("implicit multiplication is not allowed", pos)
             elif poly is None:
-                return tuple(exps), Fraction(coeff)
+                return tuple(exps), coeff
             else:
                 return poly * Polynomial.monomial(self.n, exps, coeff)
 

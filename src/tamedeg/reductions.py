@@ -83,7 +83,7 @@ def bounded_reduction_search(f_map: PolyMap, i: int, degy_bound: int,
     while len(pow_lo) * d_lo <= deg_bound:
         pow_lo.append(pow_lo[-1] * lo)
     pow_hi = [Polynomial.constant(3, 1)]
-    while len(pow_hi) * d_hi <= deg_bound:
+    while len(pow_hi) <= degy_bound and len(pow_hi) * d_hi <= deg_bound:
         pow_hi.append(pow_hi[-1] * hi)
 
     for t_max in range(min(degy_bound, len(pow_hi) - 1) + 1):
@@ -99,28 +99,31 @@ def bounded_reduction_search(f_map: PolyMap, i: int, degy_bound: int,
         # kill every monomial of degree >= deg F_i in F_i - sum c_m * product_m
         rows_index: dict[tuple, int] = {}
         for p in products + [target]:
-            for exps in p.terms:
+            for exps in p.numerators:
                 if sum(exps) >= d_target:
                     rows_index.setdefault(exps, len(rows_index))
+        # Column m holds the numerators of product m and the right-hand side
+        # those of F_i, so the system's solution is c_m scaled by
+        # den(F_i) / den(product m); scaling columns keeps the pivots.
         matrix = [[0] * len(support) for _ in rows_index]
         rhs = [0] * len(rows_index)
         for col, p in enumerate(products):
-            for exps, c in p.terms.items():
+            for exps, v in p.numerators.items():
                 r = rows_index.get(exps)
                 if r is not None:
-                    matrix[r][col] = c
-        for exps, c in target.terms.items():
+                    matrix[r][col] = v
+        for exps, v in target.numerators.items():
             r = rows_index.get(exps)
             if r is not None:
-                rhs[r] = c
+                rhs[r] = v
         solution = solve_linear(matrix, rhs)
         if solution is None:
             continue
         terms = {}
-        for (s, t), c in zip(support, solution):
+        for (s, t), p, c in zip(support, products, solution):
             if c:
                 exps = (t, s) if transposed else (s, t)
-                terms[exps] = c
+                terms[exps] = c * p.denominator / target.denominator
         cand = ReductionCandidate(i, Polynomial(2, terms))
         ok, _ = check_elementary_reduction(f_map, cand)
         if ok:

@@ -12,7 +12,7 @@ from tamedeg.classify import PRIME_TEST_BOUND
 from tamedeg.cli import EXIT_USAGE, main
 from tamedeg.maps import PolyMap, elementary, gallery
 from tamedeg.plane import Decomposition
-from tamedeg.poly import parse_poly
+from tamedeg.poly import MAX_EXPONENT, parse_poly
 
 
 def run(capsys, *argv):
@@ -71,6 +71,17 @@ class TestDecide:
         assert time.perf_counter() - start < 2
         assert code == 0
         assert "Realizable [R3: sum rule]" in out
+
+    def test_witness_degree_above_max_exponent_rejected(self, capsys):
+        # a witness file may print no exponent above MAX_EXPONENT, so the
+        # build is refused before it starts; the verdict alone still answers
+        big = str(MAX_EXPONENT + 1)
+        code, out, err = run(capsys, "decide", "1", "1", big, "--witness")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"usage error: --witness needs every degree at most {MAX_EXPONENT}\n"
+        code, out, _ = run(capsys, "decide", "1", "1", big)
+        assert code == 0 and out.startswith(f"(1, 1, {big}): Realizable")
+        assert run(capsys, "decide", "1", "1", str(MAX_EXPONENT), "--witness")[0] == 0
 
     def test_degree_beyond_proven_primality_rejected(self, capsys):
         code, out, err = run(capsys, "decide", "5", "7", str(PRIME_TEST_BOUND))
@@ -305,3 +316,17 @@ class TestUsage:
         assert code == EXIT_USAGE
         assert out == ""
         assert err.startswith("error: ")
+
+    def test_unprintable_coefficient(self, capsys, tmp_path):
+        # a valid automorphism whose inverse has a coefficient of more digits
+        # than Python converts to text: a message naming the limit, exit 64
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit or limit > 6000:
+            pytest.skip("no int-to-text digit limit below 6000 digits")
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps({"n": 2, "components": [
+            "(x + 10^3000*y^2)", "y + 10^1000*(x + 10^3000*y^2)^2"]}))
+        code, out, err = run(capsys, "analyze2", "--map", str(path),
+                             "--decompose", "--inverse", "--json")
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"error: coefficient longer than {limit} digits cannot be printed\n"

@@ -1,10 +1,13 @@
 """Differential tests of the product kernel and the map operations on it.
 
-``Polynomial.__mul__`` clears denominators and multiplies packed integer
-keys; ``substitute`` sums scaled products into one dict.  Both are checked
-against a pairwise ``Fraction`` oracle on exponent tuples, and every stored
-coefficient must be a nonzero, normalised ``Fraction``.  ``PolyMap.compose``
-and ``PolyMap.jacobian_determinant`` are checked against sympy.
+A ``Polynomial`` holds integer numerators over one denominator;
+``__mul__`` multiplies packed integer keys and ``substitute`` sums scaled
+products of packed powers into one dict.  Both, and every other ring
+operation, are checked against ``Fraction`` oracles on exponent tuples:
+every coefficient read through ``terms`` must be a nonzero, normalised
+``Fraction``, and the stored form must be in lowest terms.
+``PolyMap.compose`` and ``PolyMap.jacobian_determinant`` are checked
+against sympy.
 """
 import itertools
 from fractions import Fraction
@@ -179,3 +182,123 @@ def test_jacobian_determinant_matches_sympy(f):
     gens = sympy.symbols(f"t0:{f.n}")
     matrix = sympy.Matrix([to_sympy(c, gens) for c in f.components]).jacobian(gens)
     assert_clean(f.jacobian_determinant(), from_sympy(matrix.det(), gens))
+
+
+# ---------------------------------------------------------------------------
+# the stored form: integer numerators over one denominator, in lowest terms
+# ---------------------------------------------------------------------------
+
+def assert_canonical(p, expected):
+    """``p`` equals the Fraction oracle ``expected`` and is stored in the one
+    canonical form: a positive denominator, no zero numerator, and no common
+    factor of the denominator and all numerators."""
+    assert_clean(p, expected)
+    den, nums = p.denominator, p.numerators
+    assert type(den) is int and den > 0
+    assert all(type(v) is int and v != 0 for v in nums.values())
+    assert gcd(den, *nums.values()) == 1
+    assert {e: Fraction(v, den) for e, v in nums.items()} == expected
+
+
+def oracle_add(a, b, sign=1):
+    out = dict(a.terms)
+    for e, c in b.terms.items():
+        out[e] = out.get(e, Fraction(0)) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def oracle_pow(a, k):
+    out = {(0,) * a.n: Fraction(1)}
+    for _ in range(k):
+        out = oracle_mul(Polynomial(a.n, out), a)
+    return out
+
+
+def oracle_derivative(a, i):
+    out = {}
+    for exps, c in a.terms.items():
+        if exps[i]:
+            out[exps[:i] + (exps[i] - 1,) + exps[i + 1:]] = c * exps[i]
+    return out
+
+
+scalars = st.one_of(coefficients, st.sampled_from([0, 1, -1, Fraction(1, 6), Fraction(-6)]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    polynomials(n, 4), polynomials(n, 4), scalars, st.integers(0, 3),
+    st.integers(0, n - 1))))
+def test_ring_operations_are_canonical(data):
+    a, b, c, k, i = data
+    assert_canonical(a, dict(a.terms))
+    assert_canonical(a + b, oracle_add(a, b))
+    assert_canonical(a - b, oracle_add(a, b, -1))
+    assert_canonical(-a, {e: -v for e, v in a.terms.items()})
+    assert_canonical(a.scale(c), {e: c * v for e, v in a.terms.items() if c})
+    assert_canonical(a * b, oracle_mul(a, b))
+    assert_canonical(a ** k, oracle_pow(a, k))
+    assert_canonical(a.partial_derivative(i), oracle_derivative(a, i))
+    for d in {sum(e) for e in a.terms} | {0}:
+        assert_canonical(a.homogeneous_part(d),
+                         {e: v for e, v in a.terms.items() if sum(e) == d})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.integers(1, 4).flatmap(
+    lambda m: st.tuples(
+        st.dictionaries(monomial_exponents(n), coefficients, max_size=5),
+        st.lists(polynomials(m, 3), min_size=n, max_size=n)))))
+def test_substitute_is_canonical(data):
+    terms, args = data
+    f = Polynomial(len(args), terms)
+    assert_canonical(f.substitute(args), oracle_substitute(f, args))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(
+    polynomials(n, 4), polynomials(n, 4),
+    st.fractions(min_value=-10 ** 6, max_value=10 ** 6).filter(bool))))
+def test_content_cancels_to_one(data):
+    # scaling by c and then by 1/c, or taking the content back out of a
+    # product, leaves a common factor that the stored form must divide out;
+    # f - f and a cancelling product are zero
+    a, b, c = data
+    up = a.scale(c)
+    for p in (up.scale(1 / c), up * (1 / c), up * Polynomial.constant(a.n, 1 / c)):
+        assert_canonical(p, dict(a.terms))
+        assert p == a and hash(p) == hash(a)
+    assert_canonical(up - up, {})
+    assert_canonical((a + b) * (a - b) - (a * a - b * b), {})
+
+
+x = Polynomial.variable(2, 0)
+y = Polynomial.variable(2, 1)
+
+
+@pytest.mark.parametrize("built, direct", [
+    (x.scale(Fraction(1, 2)) * 2, x),
+    (x.scale(Fraction(1, 6)) + x.scale(Fraction(1, 6)) + x.scale(Fraction(1, 6)),
+     Polynomial(2, {(1, 0): Fraction(1, 2)})),
+    (Polynomial(2, {(1, 0): Fraction(2, 6), (0, 1): Fraction(4, 6)}) * 3, x + y * 2),
+    ((x * Fraction(2, 3) + y * Fraction(4, 3)).partial_derivative(1),
+     Polynomial.constant(2, Fraction(4, 3))),
+    ((x.scale(Fraction(1, 2)) + y.scale(Fraction(1, 3))).homogeneous_part(1)
+     - y.scale(Fraction(1, 3)), x.scale(Fraction(1, 2))),
+    ((x + y.scale(Fraction(1, 3))).substitute([y.scale(3), x]), y * 3 + x.scale(Fraction(1, 3))),
+    (x - x, Polynomial.zero(2)),
+])
+def test_equal_by_different_paths(built, direct):
+    assert built == direct and hash(built) == hash(direct)
+    assert (built.denominator, built.numerators) == (direct.denominator, direct.numerators)
+
+
+def test_terms_view_is_normalised_and_read_only():
+    f = Polynomial(2, {(1, 0): Fraction(3, 6), (0, 1): 2, (0, 0): Fraction(-4, 6)})
+    assert f.numerators == {(1, 0): 3, (0, 1): 12, (0, 0): -4} and f.denominator == 6
+    assert dict(f.terms) == {(1, 0): Fraction(1, 2), (0, 1): Fraction(2),
+                             (0, 0): Fraction(-2, 3)}
+    assert all(type(c) is Fraction for c in f.terms.values())
+    assert f.terms is f.terms
+    with pytest.raises(TypeError):
+        f.terms[(1, 1)] = Fraction(1)

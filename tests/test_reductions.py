@@ -76,6 +76,18 @@ class TestBoundedSearch:
             recovered += 1
         assert recovered == 100
 
+    def test_plant_and_recover_rational(self):
+        # every component has its own denominator, so the columns of the
+        # linear system and its right-hand side are numerators over
+        # different denominators
+        f2 = p("1/3*y + 2/3*x^2")
+        f3 = p("2/5*z + 1/7*x^3 + y")
+        g = Polynomial(2, {(2, 1): Fraction(3, 4), (1, 0): Fraction(-5, 6)})
+        m = PolyMap((p("1/2*x") + g.substitute([f2, f3]), f2, f3))
+        cand = bounded_reduction_search(m, 0, 4, 12)
+        assert cand is not None
+        assert check_elementary_reduction(m, cand) == (True, 2)
+
     def test_found_candidate_matches_plant(self):
         rng = random.Random(8)
         m = None
@@ -114,3 +126,20 @@ class TestTypeThreeShape:
     def test_requires_sorted(self):
         with pytest.raises(ValueError):
             type3_shape(4, 3, 6)
+
+
+def test_powers_of_y_stop_at_degy_bound(monkeypatch):
+    # Y = x^2 + y is the higher-degree non-target component; deg_bound 12
+    # would allow Y^6, but no support uses a power of Y above degy_bound
+    m = PolyMap((p("z"), p("x"), p("x^2 + y")))
+    hi = m.components[2]
+    powers_built = []
+    original = Polynomial.__mul__
+
+    def counted(self, other):
+        if other is hi:
+            powers_built.append(self)
+        return original(self, other)
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    bounded_reduction_search(m, 0, 1, 12)
+    assert len(powers_built) == 1
