@@ -226,6 +226,8 @@ def _cmd_analyze2(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    if args.deg_bound > reductions.MAX_DEG_BOUND:
+        raise _UsageError(f"--deg-bound must be at most {reductions.MAX_DEG_BOUND}")
     m = _load_map(args.map_file)
     if not 1 <= args.target <= 3:
         raise _UsageError("--target must be 1, 2, or 3")

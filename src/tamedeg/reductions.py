@@ -15,6 +15,12 @@ from .linalg import solve_linear
 from .maps import PolyMap
 from .poly import NEG_INF, Polynomial
 
+# The largest composition-degree bound the CLI searches up to.  One Y-degree
+# class has a row per monomial of degree at most the bound and a column per
+# product within it, so the search's time and memory grow without limit in
+# the bound.
+MAX_DEG_BOUND = 40
+
 
 @dataclass(frozen=True)
 class ReductionCandidate:
@@ -78,24 +84,30 @@ def bounded_reduction_search(f_map: PolyMap, i: int, degy_bound: int,
             prune = lambda t: su_lower_bound(int(d_lo), int(d_hi),
                                              int(bracket), t) > d_target
 
-    # powers cache
-    pow_lo = [Polynomial.constant(3, 1)]
+    # Powers of X = lo and Y = hi, and their products, are built when a
+    # class that is not pruned first reads them, and kept for the later
+    # classes; a class solved at t_max = 0 builds no power of Y.  A product
+    # with exponent 0 on one side is the other side's power itself.
+    pow_lo = [Polynomial.constant(3, 1), lo]
     while len(pow_lo) * d_lo <= deg_bound:
         pow_lo.append(pow_lo[-1] * lo)
-    pow_hi = [Polynomial.constant(3, 1)]
-    while len(pow_hi) <= degy_bound and len(pow_hi) * d_hi <= deg_bound:
-        pow_hi.append(pow_hi[-1] * hi)
+    pow_hi = [pow_lo[0]]
+    built: dict[tuple[int, int], Polynomial] = {}
 
-    for t_max in range(min(degy_bound, len(pow_hi) - 1) + 1):
+    for t_max in range(min(degy_bound, deg_bound // d_hi) + 1):
         if prune is not None and prune(t_max):
             continue
         support = [(s, t)
                    for t in range(t_max + 1)
                    for s in range(len(pow_lo))
                    if s * d_lo + t * d_hi <= deg_bound]
-        if not support:
-            continue
-        products = [pow_lo[s] * pow_hi[t] for s, t in support]
+        while len(pow_hi) <= t_max:
+            pow_hi.append(pow_hi[-1] * hi)
+        for s, t in support:
+            if (s, t) not in built:
+                built[s, t] = (pow_hi[t] if not s else pow_lo[s] if not t
+                               else pow_lo[s] * pow_hi[t])
+        products = [built[st] for st in support]
         # kill every monomial of degree >= deg F_i in F_i - sum c_m * product_m
         rows_index: dict[tuple, int] = {}
         for p in products + [target]:

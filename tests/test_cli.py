@@ -7,12 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from tamedeg import cli
+from tamedeg import cli, reductions
 from tamedeg.classify import PRIME_TEST_BOUND
 from tamedeg.cli import EXIT_USAGE, main
 from tamedeg.maps import PolyMap, elementary, gallery
 from tamedeg.plane import Decomposition
 from tamedeg.poly import MAX_EXPONENT, parse_poly
+from tamedeg.reductions import MAX_DEG_BOUND
 
 
 def run(capsys, *argv):
@@ -230,6 +231,19 @@ class TestReduce:
         path.write_text(json.dumps(gallery("su_t1").to_json()))
         code, _, err = run(capsys, "reduce", "--map", str(path), "--target", "4")
         assert code == EXIT_USAGE
+
+    def test_deg_bound_limit(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "su.json"
+        path.write_text(json.dumps(gallery("su_example").to_json()))
+        argv = ["reduce", "--map", str(path), "--target", "1", "--deg-bound"]
+        assert MAX_DEG_BOUND >= 40  # the bound the benchmark searches with
+        assert run(capsys, *argv, str(MAX_DEG_BOUND)) == (
+            1, "not found within bounds\n", "")
+        # above the limit: a usage error before the search builds anything
+        monkeypatch.setattr(reductions, "bounded_reduction_search", None)
+        code, out, err = run(capsys, *argv, str(MAX_DEG_BOUND + 1))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"usage error: --deg-bound must be at most {MAX_DEG_BOUND}\n"
 
 
 class TestEnumerate:

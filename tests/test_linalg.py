@@ -1,6 +1,7 @@
 """Differential tests of the integer Gauss-Jordan core in ``tamedeg.linalg``.
 
-``solve_linear`` and ``invert_matrix`` eliminate on primitive integer rows.
+``solve_linear`` and ``invert_matrix`` eliminate on sparse primitive integer
+rows.
 They are checked against the ``Fraction`` Gauss-Jordan elimination they
 replaced, kept below as the oracle: equal solution vectors (free variables
 included), ``None`` on the same inconsistent systems and
@@ -143,6 +144,37 @@ def square_matrices(draw):
     return draw(matrices(n, n))
 
 
+nonzero = st.one_of(
+    st.integers(1, 3), st.integers(1, 10 ** 12),
+    st.tuples(st.integers(1, 99), st.integers(2, 20)).map(lambda pq: Fraction(*pq)),
+).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+@st.composite
+def search_systems(draw):
+    """Systems shaped like those of the reduction search: tall (up to 60 x
+    25), about 5% of A nonzero, scaled duplicates of rows, b = A x0 or
+    arbitrary, and in some draws many rows that are zero in A but not in b."""
+    m, n = draw(st.integers(1, 60)), draw(st.integers(1, 25))
+    rows = [[0] * n for _ in range(m)]
+    for _ in range(max(1, m * n // 20)):
+        rows[draw(st.integers(0, m - 1))][draw(st.integers(0, n - 1))] = draw(nonzero)
+    for _ in range(draw(st.integers(0, m // 3))):
+        src, dst = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+        k = draw(st.sampled_from([1, -1, 3, 10 ** 20, Fraction(-2, 7)]))
+        rows[dst] = [k * x for x in rows[src]]
+    if draw(st.booleans()):
+        x0 = [draw(st.integers(-3, 3)) for _ in range(n)]
+        rhs = [sum(a * x for a, x in zip(row, x0)) for row in rows]
+    else:
+        rhs = [draw(st.sampled_from([0, 0, 1, -5, 10 ** 12])) for _ in range(m)]
+    if draw(st.booleans()):
+        for r in draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=m // 2 + 1)):
+            rows[r] = [0] * n
+            rhs[r] = draw(nonzero)
+    return rows, rhs
+
+
 def copied(rows):
     return [list(row) for row in rows]
 
@@ -160,6 +192,15 @@ def test_solve_linear_matches_oracle(system):
     assert got == expected
     if got is not None:
         assert all(type(v) is Fraction for v in got)
+    assert (copied(rows), list(rhs)) == before
+
+
+@settings(max_examples=200, deadline=None)
+@given(search_systems())
+def test_search_shaped_systems_match_oracle(system):
+    rows, rhs = system
+    before = copied(rows), list(rhs)
+    assert solve_linear(rows, rhs) == oracle_solve_linear(rows, rhs)
     assert (copied(rows), list(rhs)) == before
 
 
@@ -188,10 +229,11 @@ def test_reduced_rows_are_primitive(case):
     n, rows = case
     a, pivots = _gauss_jordan(rows, n)
     for row in a:
-        assert all(type(x) is int for x in row)
-        assert gcd(*row) in (0, 1)
+        assert all(type(x) is int and x for x in row.values())
+        assert gcd(*row.values()) == 1
     for r, c in enumerate(pivots):
-        assert a[r][c] and all(not a[s][c] for s in range(len(a)) if s != r)
+        assert a[r][c] and all(c not in a[s] for s in range(len(a)) if s != r)
+    assert all(min(row) >= n for row in a[len(pivots):])
 
 
 def test_fixed_cases():

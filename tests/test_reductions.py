@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+from tamedeg import reductions
+from tamedeg.linalg import solve_linear
 from tamedeg.maps import PolyMap, compose_all, elementary, gallery
 from tamedeg.poly import Polynomial, parse_poly
 from tamedeg.reductions import (ReductionCandidate, bounded_reduction_search,
@@ -143,3 +145,33 @@ def test_powers_of_y_stop_at_degy_bound(monkeypatch):
     monkeypatch.setattr(Polynomial, "__mul__", counted)
     bounded_reduction_search(m, 0, 1, 12)
     assert len(powers_built) == 1
+
+
+def test_class_zero_builds_no_power_of_y(monkeypatch):
+    # F_1 - X^3 = z with X = F_2 = x is solved in class t_max = 0, so no
+    # power of Y = F_3 is built, and a product with exponent 0 on one side
+    # is taken as it is, not multiplied by the constant 1.  X and Y have
+    # equal degrees, so no pruning bound is computed and every product
+    # recorded is the search's own.
+    m = PolyMap((p("z + x^3"), p("x"), p("y")))
+    hi = m.components[2]
+    operands = []
+    original = Polynomial.__mul__
+
+    def recorded(self, other):
+        operands.append((self, other))
+        return original(self, other)
+    monkeypatch.setattr(Polynomial, "__mul__", recorded)
+    solves = []
+
+    def counted_solve(rows, rhs):
+        solves.append(len(rows[0]))
+        return solve_linear(rows, rhs)
+    monkeypatch.setattr(reductions, "solve_linear", counted_solve)
+    cand = bounded_reduction_search(m, 0, 4, 12)
+    assert cand.g == Polynomial(2, {(3, 0): 1})
+    assert solves == [13]  # one class: X^0..X^12
+    assert operands
+    for a, b in operands:
+        assert a.total_degree() > 0 and b.total_degree() > 0
+        assert a is not hi and b is not hi
