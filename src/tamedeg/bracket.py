@@ -40,13 +40,7 @@ def poisson_degree(f: Polynomial, g: Polynomial):
 
 def algebraically_independent(f: Polynomial, g: Polynomial) -> bool:
     """True iff some 2x2 Jacobian minor of (f,g) is nonzero."""
-    if f.n != g.n:
-        raise ValueError("variable counts differ")
-    for i in range(f.n):
-        for j in range(i + 1, f.n):
-            if not jac_minor(f, g, i, j).is_zero():
-                return True
-    return False
+    return poisson_degree(f, g) != NEG_INF
 
 
 def is_power_proportional(hbar: Polynomial, fbar: Polynomial

@@ -237,13 +237,13 @@ def _cmd_reduce(args) -> int:
         print(json.dumps({"found": False}, indent=2) if args.json
               else "not found within bounds")
         return 1
-    _, achieved = reductions.check_elementary_reduction(m, cand)
     g = format_poly(cand.g, ("X", "Y"))
     if args.json:
-        print(json.dumps({"found": True, "g": g, "achieved_degree": achieved},
-                         indent=2))
+        print(json.dumps({"found": True, "g": g,
+                          "achieved_degree": cand.achieved_degree}, indent=2))
     else:
-        print(f"g = {g} (reduces component {args.target} to degree {achieved})")
+        print(f"g = {g} (reduces component {args.target} "
+              f"to degree {cand.achieved_degree})")
     return 0
 
 

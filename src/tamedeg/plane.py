@@ -3,8 +3,10 @@
 Every polynomial automorphism of the plane factors as L2 . T_l . ... . T_1 . L1
 with L1, L2 affine and T_i non-affine triangular maps of alternating
 orientation (odd i: (x + f(y), y); even i: (x, y + f(x))), each deg f_i > 1.
-``peel`` recovers this normalized decomposition by repeated leading-form
-subtraction; failure certifies that the input is not an automorphism.
+``peel`` recovers this normalized decomposition by leading-form subtraction,
+lowering the component of higher degree in place at each step, so that every
+map it peels off has Jacobian determinant 1; failure certifies that the input
+is not an automorphism.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 
 from .bracket import is_power_proportional
 from .linalg import SingularMatrixError
-from .maps import Factor, PolyMap, affine, compose_all, elementary, identity, swap
+from .maps import Factor, PolyMap, affine, compose_all, elementary, identity
 from .poly import Polynomial
 
 
@@ -21,7 +23,15 @@ class NotKellerError(ValueError):
 
 
 class PeelStuckError(ValueError):
-    """A peeling step cannot proceed: the map is not an automorphism."""
+    """A peeling step cannot proceed: the map is not an automorphism.
+
+    ``remainder`` is the map left where peeling stopped; its Jacobian
+    determinant equals the input's.
+    """
+
+    def __init__(self, message: str, remainder: PolyMap):
+        super().__init__(message)
+        self.remainder = remainder
 
 
 class InconsistentLengthError(ValueError):
@@ -60,19 +70,6 @@ class Decomposition:
         return compose_all(chain)
 
 
-def _tri_factor(f_of_x: Polynomial, form: int) -> Factor:
-    """form 1: (x, y + f(x)); form 2: (x + f(y), y).  f given in variable x."""
-    if form == 1:
-        return elementary(2, 1, f_of_x)
-    flipped = Polynomial._make(2, {(e[1], e[0]): v for e, v in f_of_x.numerators.items()},
-                               f_of_x.denominator)
-    return elementary(2, 0, flipped)
-
-
-def _is_affine(m: PolyMap) -> bool:
-    return all(c.total_degree() <= 1 for c in m.components)
-
-
 def _as_affine_factor(m: PolyMap) -> Factor:
     n = m.n
     units = [tuple(int(t == j) for t in range(n)) for j in range(n)]
@@ -87,16 +84,17 @@ def peel(f_map: PolyMap) -> Decomposition:
     Raises NotKellerError when the Jacobian determinant is not a nonzero
     constant, and PeelStuckError when a leading-form step fails -- either way
     the input is certifiably not an automorphism.  The Jacobian is computed
-    only once peeling has failed: a successful peel ends with the exact check
-    that the decomposition recomposes to the input, which implies it.
+    only once peeling has failed, and of the remainder where it stopped: every
+    map peeled off has Jacobian determinant 1, so by the chain rule the
+    remainder's equals F's.  A successful peel ends with the exact check that
+    the decomposition recomposes to the input, which implies a constant one.
     """
     if f_map.n != 2:
         raise ValueError("peel expects a 2-dimensional map")
     try:
         dec = _peel_chain(f_map)
-    except (PeelStuckError, SingularMatrixError):
-        # a singular affine end, e.g. (x, x), raises SingularMatrixError
-        jac = f_map.jacobian_determinant()
+    except PeelStuckError as exc:
+        jac = exc.remainder.jacobian_determinant()
         if jac.is_zero() or not jac.is_constant():
             raise NotKellerError(
                 f"Jacobian determinant is {jac}, not a nonzero constant") from None
@@ -107,89 +105,69 @@ def peel(f_map: PolyMap) -> Decomposition:
 
 
 def _peel_chain(f_map: PolyMap) -> Decomposition:
-    """The decomposition that leading-form peeling finds, not yet checked."""
-    swp = swap(2, 0, 1)
-    raw_head: list = []  # leading affine pieces ('aff' or 'swap')
-    raw_tris: list[Polynomial] = []  # f_i in variable x, all of form (x, y+f(x))
+    """The decomposition that leading-form peeling finds, not yet checked.
+
+    Each step lowers the component (p, q) of higher degree in place: p by a
+    strip (x + f(y), y) built from q's leading form, q by a strip
+    (x, y + f(x)) built from p's.  Equal degrees, which can only occur before
+    the first strip, take the head fix (x + c*y, y) instead.  A strip leaves
+    the lowered component below the other one, so strips alternate and the
+    sum of the degrees falls at every step.  F = A . U_1 . ... . U_l . (p, q)
+    with A the head fix; if the innermost strip U_l is (x, y + f(x)), every
+    strip is conjugated by the swap S so that T_1 is (x + f(y), y), and then
+    L1 = S . (p, q) and L2 = A . S.
+    """
     g = f_map
-    guard = int(max(g.deg(), 1)) ** 2 + 10
-    steps = 0
-    while not _is_affine(g):
-        steps += 1
-        if steps > guard:
-            raise AssertionError("peeling failed to terminate (internal bug)")
+    c = 0  # the head fix (x + c*y, y); the identity when c = 0
+    strips: list[tuple[int, dict]] = []  # (component lowered, {k: c_k})
+    while g.deg() > 1:
         p, q = g.components
         dp, dq = p.total_degree(), q.total_degree()
         if min(dp, dq) < 1:
-            raise PeelStuckError("constant or zero component while peeling")
+            raise PeelStuckError("constant or zero component while peeling", g)
         if dp == dq:
             # equal top degrees: leading forms must be proportional
             prop = is_power_proportional(p.leading_form(), q.leading_form())
             if prop is None or prop[1] != 1:
                 raise PeelStuckError(
-                    f"equal-degree leading forms not proportional at degree {dp}")
+                    f"equal-degree leading forms not proportional at degree {dp}", g)
             c = prop[0]
-            fix = affine([[1, c], [0, 1]])
-            raw_head.append(("aff", fix))
-            g = fix.inverse.compose(g)
+            g = PolyMap((p - q.scale(c), q))
             continue
-        if dp > dq:
-            raw_head.append(("swap", swp))
-            g = swp.map.compose(g)  # swap is self-inverse
-            continue
-        # dp < dq: strip (x, y + f(x)) with f built from leading forms
-        if raw_tris and raw_head and raw_head[-1][0] != "swap":
-            raise AssertionError("unexpected chain shape (internal bug)")
-        rem = q
-        f_acc = Polynomial.zero(2)
-        while rem.total_degree() > dp or (rem.total_degree() == dp and dp > 1):
+        i = int(dp < dq)  # the component to lower
+        rem, low = (q, p) if i else (p, q)
+        dl = int(low.total_degree())
+        coeffs, powers = {}, [low]  # powers[j] = low ** (j + 1), built as read
+        while rem.total_degree() > dl or (rem.total_degree() == dl and dl > 1):
             dr = int(rem.total_degree())
-            if dr % int(dp):
+            if dr % dl:
                 raise PeelStuckError(
-                    f"degree {dr} not divisible by {int(dp)} while peeling")
-            prop = is_power_proportional(rem.leading_form(), p.leading_form())
+                    f"degree {dr} not divisible by {dl} while peeling", g)
+            prop = is_power_proportional(rem.leading_form(), low.leading_form())
             if prop is None:
                 raise PeelStuckError(
                     f"leading form at degree {dr} is not proportional to a "
-                    f"power of the lower component's form")
-            c, k = prop
-            f_acc = f_acc + Polynomial.monomial(2, (k, 0), c)
-            rem = rem - (p ** k).scale(c)
-        if f_acc.total_degree() <= 1:
-            raise PeelStuckError("peeled factor degenerated to affine "
-                                 "(not an automorphism)")
-        raw_tris.append(f_acc)
-        g = PolyMap((p, rem))
+                    f"power of the lower component's form", g)
+            ck, k = prop
+            coeffs[k] = ck
+            while len(powers) < k:
+                powers.append(powers[-1] * low)
+            rem = rem - powers[k - 1].scale(ck)
+        strips.append((i, coeffs))
+        g = PolyMap((p, rem) if i else (rem, q))
 
-    l1_raw = _as_affine_factor(g)
-    head_maps = [item[1] for item in raw_head]
-    l = len(raw_tris)
-    if l == 0:
-        head = compose_all([f.map for f in head_maps] + [l1_raw.map]) \
-            if head_maps else l1_raw.map
-        aff = _as_affine_factor(head)
-        ident = _as_affine_factor(identity(2))
-        return Decomposition(aff, [], ident, [])
-    else:
-        # raw chain: A? (T S)*(l-1) T L1 with every T of form (x, y+f(x)).
-        # Re-indexing from the right and conjugating every odd-indexed T by the
-        # swap (S T S has form (x+f(y), y)) cancels all interior swaps:
-        #   T_i = flip(raw T_{l-i+1}) for odd i, unchanged for even i;
-        #   L1' = S . L1;  L2' = A . S when l is odd, else A.
-        factors = []
-        for i in range(1, l + 1):
-            f_of_x = raw_tris[l - i]
-            form = 2 if i % 2 == 1 else 1
-            factors.append(_tri_factor(f_of_x, form))
-        # A = composition of everything before the first T (swaps and fixes)
-        seen_tri_boundary = len(raw_head) - (l - 1)  # interior swaps: l-1 of them
-        a_items = raw_head[:seen_tri_boundary]
-        a_map = compose_all([it[1].map for it in a_items]) if a_items else identity(2)
-        l2_map = a_map.compose(swp.map) if l % 2 == 1 else a_map
-        l1_map = swp.map.compose(l1_raw.map)
-        return Decomposition(_as_affine_factor(l1_map), factors,
-                             _as_affine_factor(l2_map),
-                             [int(f.total_degree()) for f in raw_tris[::-1]])
+    flip = bool(strips) and strips[-1][0] == 1
+    try:
+        l1 = _as_affine_factor(PolyMap(g.components[::-1]) if flip else g)
+    except SingularMatrixError:
+        raise PeelStuckError("singular affine end", g) from None
+    factors = []
+    for i, coeffs in reversed(strips):
+        i ^= flip  # the coordinate the conjugated strip shifts
+        f = Polynomial(2, {((k, 0) if i else (0, k)): ck for k, ck in coeffs.items()})
+        factors.append(elementary(2, i, f))
+    l2 = affine([[c, 1], [1, 0]] if flip else [[1, c], [0, 1]])
+    return Decomposition(l1, factors, l2, [max(coeffs) for _, coeffs in reversed(strips)])
 
 
 def length_of(f_map: PolyMap) -> int:

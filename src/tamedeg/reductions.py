@@ -28,6 +28,7 @@ class ReductionCandidate:
     components (F_j, F_k) with j < k."""
     target_index: int  # 0-based
     g: Polynomial
+    achieved_degree: object = None  # deg(F_i - g(F_j, F_k)) once checked
 
 
 def check_elementary_reduction(f_map: PolyMap, cand: ReductionCandidate
@@ -48,7 +49,8 @@ def check_elementary_reduction(f_map: PolyMap, cand: ReductionCandidate
 def bounded_reduction_search(f_map: PolyMap, i: int, degy_bound: int,
                              deg_bound: int) -> Optional[ReductionCandidate]:
     """Search for a reducing g with deg_Y g <= degy_bound and composition
-    degree at most deg_bound; None when nothing is found within bounds.
+    degree at most deg_bound; None when nothing is found within bounds.  A
+    found candidate carries the degree its reduction achieves.
 
     Y is the higher-degree non-target component.  Classes of fixed Y-degree
     are skipped when the reduced-pair lower bound for deg g(F_j, F_k) already
@@ -136,10 +138,10 @@ def bounded_reduction_search(f_map: PolyMap, i: int, degy_bound: int,
             if c:
                 exps = (t, s) if transposed else (s, t)
                 terms[exps] = c * p.denominator / target.denominator
-        cand = ReductionCandidate(i, Polynomial(2, terms))
-        ok, _ = check_elementary_reduction(f_map, cand)
+        g = Polynomial(2, terms)
+        ok, achieved = check_elementary_reduction(f_map, ReductionCandidate(i, g))
         if ok:
-            return cand
+            return ReductionCandidate(i, g, achieved)
     return None
 
 

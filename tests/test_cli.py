@@ -226,6 +226,20 @@ class TestReduce:
         assert data["found"]
         assert data["achieved_degree"] < 4
 
+    def test_one_check_per_found_map(self, capsys, tmp_path, monkeypatch):
+        f = gallery("su_t1")
+        m = PolyMap((f.components[0] + f.components[1] ** 2,
+                     f.components[1], f.components[2]))
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(m.to_json()))
+        calls = []
+        check = reductions.check_elementary_reduction
+        monkeypatch.setattr(reductions, "check_elementary_reduction",
+                            lambda *a: calls.append(a) or check(*a))
+        assert run(capsys, "reduce", "--map", str(path), "--target", "1") == (
+            0, "g = X^2 (reduces component 1 to degree 1)\n", "")
+        assert len(calls) == 1
+
     def test_bad_target(self, capsys, tmp_path):
         path = tmp_path / "m.json"
         path.write_text(json.dumps(gallery("su_t1").to_json()))

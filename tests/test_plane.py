@@ -66,6 +66,21 @@ class TestPeel:
         assert str(info.value) == (f"Jacobian determinant is {jac}, "
                                    "not a nonzero constant")
 
+    def test_jacobian_of_stuck_remainder(self, monkeypatch):
+        # stuck after two strips: T2 . T1 . G with G = (x, y^2 + x)
+        t1 = elementary(2, 0, p2("y^3")).map   # (x + y^3, y)
+        t2 = elementary(2, 1, p2("x^2")).map   # (x, y + x^2)
+        f = compose_all([t2, t1, PolyMap((p2("x"), p2("y^2 + x")))])
+        degrees = []
+        jacobian = PolyMap.jacobian_determinant
+        monkeypatch.setattr(PolyMap, "jacobian_determinant",
+                            lambda m: degrees.append(m.deg()) or jacobian(m))
+        with pytest.raises(NotKellerError) as info:
+            peel(f)
+        assert str(info.value) == ("Jacobian determinant is 2*y, "
+                                   "not a nonzero constant")
+        assert f.deg() == 12 and degrees == [2]
+
     def test_wrong_dimension(self):
         with pytest.raises(ValueError):
             peel(identity(3))
