@@ -201,6 +201,11 @@ def classify(d1: int, d2: int, d3: int) -> Classification:
     return Classification(original, d, status, rule, recipe, notes)
 
 
+# The largest --max the CLI enumerates up to: the rows, and the time and
+# output, grow as bound^3 / 6.
+MAX_ENUMERATE = 100
+
+
 def enumerate_classifications(bound: int) -> Iterator[Classification]:
     """All sorted triples with d3 <= bound, in lexicographic order."""
     if bound < 1:

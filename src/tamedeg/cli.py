@@ -13,9 +13,9 @@ import sys
 from typing import Optional, Sequence
 
 from . import plane, reductions, semigroup, witness
-from .classify import Status, classify, enumerate_classifications
+from .classify import MAX_ENUMERATE, Status, classify, enumerate_classifications
 from .maps import PolyMap, gallery, gallery_names
-from .poly import MAX_EXPONENT, ParseError, format_poly
+from .poly import MAX_EXPONENT, format_poly
 
 EXIT_USAGE = 64
 
@@ -122,6 +122,8 @@ def _cmd_decide(args) -> int:
 def _cmd_enumerate(args) -> int:
     if args.max_d3 < 1:
         raise _UsageError("--max must be >= 1")
+    if args.max_d3 > MAX_ENUMERATE:
+        raise _UsageError(f"--max must be at most {MAX_ENUMERATE}")
     counts: dict[str, int] = {}
     rows = []
     if args.format == "csv":
@@ -147,13 +149,21 @@ def _cmd_semigroup(args) -> int:
     d1, d2 = args.generators
     pair = semigroup.SemigroupPair(d1, d2)
     payload: dict = {"d1": pair.d1, "d2": pair.d2}
+    list_gaps = args.gaps or args.k is None
+    if list_gaps:
+        frob = pair.frobenius()
+        scanned = frob + 1 - max(args.min_k, 0)
+        if scanned > semigroup.MAX_GAP_SCAN:
+            raise _UsageError(
+                f"listing gaps would test {scanned} candidates, more than "
+                f"{semigroup.MAX_GAP_SCAN}; raise --min")
     if args.k is not None:
         dec = pair.member(args.k)
         payload["k"] = args.k
         payload["member"] = dec is not None
         payload["decomposition"] = list(dec) if dec else None
-    if args.gaps or args.k is None:
-        payload["frobenius"] = pair.frobenius()
+    if list_gaps:
+        payload["frobenius"] = frob
         payload["gaps"] = pair.gaps(args.min_k)
     if args.json:
         print(json.dumps(payload, indent=2))
@@ -268,7 +278,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, json.JSONDecodeError, ParseError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -45,25 +45,18 @@ class PolyMap:
         return max(self.mdeg())
 
     def jacobian_determinant(self) -> Polynomial:
-        n = self.n
-        partials = [[c.partial_derivative(j) for j in range(n)]
-                    for c in self.components]
-        # permutation expansion; n <= 3 in practice
-        import itertools
-        det = Polynomial.zero(n)
-        for perm in itertools.permutations(range(n)):
-            sign = 1
-            p = list(perm)
-            for i in range(n):
-                while p[i] != i:
-                    j = p[i]
-                    p[i], p[j] = p[j], p[i]
-                    sign = -sign
-            term = Polynomial.constant(n, sign)
-            for i, j in enumerate(perm):
-                term = term * partials[i][j]
-            det = det + term
-        return det
+        def det(rows):  # cofactor expansion along the first row
+            if len(rows) < 2:
+                return rows[0][0] if rows else Polynomial.constant(self.n, 1)
+            out = Polynomial.zero(self.n)
+            for j, entry in enumerate(rows[0]):
+                if not entry.is_zero():
+                    term = entry * det([row[:j] + row[j + 1:] for row in rows[1:]])
+                    out = out - term if j % 2 else out + term
+            return out
+
+        return det([[c.partial_derivative(j) for j in range(self.n)]
+                    for c in self.components])
 
     def to_json(self, varnames: Sequence[str] | None = None) -> dict:
         if varnames is None:

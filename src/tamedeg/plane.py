@@ -116,6 +116,10 @@ def _peel_chain(f_map: PolyMap) -> Decomposition:
     with A the head fix; if the innermost strip U_l is (x, y + f(x)), every
     strip is conjugated by the swap S so that T_1 is (x + f(y), y), and then
     L1 = S . (p, q) and L2 = A . S.
+
+    A strip step at degree dr = k * deg(low) subtracts c * low^k, with c read
+    at a monomial of degree dr of low^k.  With no zero divisors, lead(low^k) =
+    lead(low)^k, so the degree drops exactly when lead(rem) = c * lead(low)^k.
     """
     g = f_map
     c = 0  # the head fix (x + c*y, y); the identity when c = 0
@@ -128,7 +132,7 @@ def _peel_chain(f_map: PolyMap) -> Decomposition:
         if dp == dq:
             # equal top degrees: leading forms must be proportional
             prop = is_power_proportional(p.leading_form(), q.leading_form())
-            if prop is None or prop[1] != 1:
+            if prop is None:
                 raise PeelStuckError(
                     f"equal-degree leading forms not proportional at degree {dp}", g)
             c = prop[0]
@@ -143,16 +147,17 @@ def _peel_chain(f_map: PolyMap) -> Decomposition:
             if dr % dl:
                 raise PeelStuckError(
                     f"degree {dr} not divisible by {dl} while peeling", g)
-            prop = is_power_proportional(rem.leading_form(), low.leading_form())
-            if prop is None:
+            k = dr // dl
+            while len(powers) < k:
+                powers.append(powers[-1] * low)
+            top = powers[k - 1]
+            e = max(top.numerators, key=sum)  # of degree dr
+            coeffs[k] = ck = rem.coefficient(e) / top.coefficient(e)
+            rem = rem - top.scale(ck)
+            if rem.total_degree() == dr:
                 raise PeelStuckError(
                     f"leading form at degree {dr} is not proportional to a "
                     f"power of the lower component's form", g)
-            ck, k = prop
-            coeffs[k] = ck
-            while len(powers) < k:
-                powers.append(powers[-1] * low)
-            rem = rem - powers[k - 1].scale(ck)
         strips.append((i, coeffs))
         g = PolyMap((p, rem) if i else (rem, q))
 

@@ -4,6 +4,10 @@ from __future__ import annotations
 from math import gcd
 from typing import Optional
 
+# The most candidates the CLI tests when it lists gaps: the scan runs from
+# --min to the Frobenius number, which grows as d1 * d2.
+MAX_GAP_SCAN = 1_000_000
+
 
 class SemigroupPair:
     """The additive semigroup d1*N + d2*N, normalized so d1 <= d2."""

@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Optional, Sequence
 
+from .linalg import SingularMatrixError, invert_matrix
 from .maps import Factor, PolyMap, compose_all, elementary
 from .poly import Polynomial
 from .semigroup import SemigroupPair
@@ -304,8 +305,37 @@ def build(recipe: WitnessRecipe) -> Witness:
 # persistence
 # ---------------------------------------------------------------------------
 
+def _is_generator(m: PolyMap) -> bool:
+    """Whether m is elementary or affine with an invertible linear part.
+
+    Elementary: one component is x_i + f with f free of x_i and every other
+    component is its own variable (the identity included).  Only the stored
+    form of each component is read.
+    """
+    units = [tuple(int(t == j) for t in range(m.n)) for j in range(m.n)]
+    moved = [i for i, c in enumerate(m.components)
+             if c.denominator != 1 or c.numerators != {units[i]: 1}]
+    if not moved:
+        return True
+    if len(moved) == 1:
+        i = moved[0]
+        c = m.components[i]
+        if c.numerators.get(units[i]) == c.denominator and all(
+                e == units[i] or not e[i] for e in c.numerators):
+            return True
+    if any(sum(e) > 1 for c in m.components for e in c.numerators):
+        return False
+    try:
+        invert_matrix([[c.numerators.get(u, 0) for u in units] for c in m.components])
+    except SingularMatrixError:
+        return False
+    return True
+
+
 def verify_witness_json(data: dict) -> bool:
-    """Recompose the persisted factor chain and re-measure its multidegree.
+    """Check that every persisted factor is a tame generator (elementary, or
+    affine with an invertible linear part), then recompose the chain and
+    re-measure its multidegree.
 
     Raises ValueError when ``data`` does not have the witness JSON shape.
     """
@@ -319,7 +349,7 @@ def verify_witness_json(data: dict) -> bool:
         raise ValueError("witness JSON needs 'factors', a list of map objects")
     target = tuple(target)
     factors = [PolyMap.from_json(f) for f in factors]
-    if not factors:
+    if not factors or not all(map(_is_generator, factors)):
         return False
     return compose_all(factors).mdeg() == target
 

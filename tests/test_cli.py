@@ -7,19 +7,26 @@ from pathlib import Path
 
 import pytest
 
-from tamedeg import cli, reductions
-from tamedeg.classify import PRIME_TEST_BOUND
+from tamedeg import classify as classify_module
+from tamedeg import cli, reductions, semigroup
+from tamedeg.classify import MAX_ENUMERATE, PRIME_TEST_BOUND
 from tamedeg.cli import EXIT_USAGE, main
 from tamedeg.maps import PolyMap, elementary, gallery
 from tamedeg.plane import Decomposition
 from tamedeg.poly import MAX_EXPONENT, parse_poly
 from tamedeg.reductions import MAX_DEG_BOUND
+from tamedeg.semigroup import MAX_GAP_SCAN
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def refuse(*args):
+    """Stands in for work a call past a limit must never start."""
+    raise AssertionError("called past the limit")
 
 
 class TestDecide:
@@ -123,6 +130,21 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "/nonexistent/w.json")
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("target, components, expected", [
+        # the Nagata map is not tame, though its mdeg is the target
+        ([5, 3, 1], gallery("nagata").to_json()["components"], "MISMATCH"),
+        ([2, 3, 5], ["x^2", "y^3", "z^5"], "MISMATCH"),
+        ([1, 1, 1], ["x + y", "2*x + 2*y", "z"], "MISMATCH"),  # singular affine
+        ([1, 1, 1], ["y + 1", "x - 1/2*z", "3*z"], "OK"),
+    ])
+    def test_factors_must_be_generators(self, capsys, tmp_path, target, components,
+                                        expected):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({"target": target, "factors": [
+            {"n": 3, "components": components}]}))
+        code, out, _ = run(capsys, "verify", str(path))
+        assert (code, out) == ((0 if expected == "OK" else 1), expected + "\n")
+
 
 class TestSemigroup:
     def test_gap_list_output(self, capsys):
@@ -139,6 +161,25 @@ class TestSemigroup:
         code, out, _ = run(capsys, "semigroup", "5", "7", "--json")
         data = json.loads(out)
         assert data["frobenius"] == 23
+
+    @pytest.mark.parametrize("extra", [[], ["--gaps"], ["--k", "5", "--gaps", "--json"]])
+    def test_gap_scan_limit(self, capsys, monkeypatch, extra):
+        # the Frobenius number of (1001, 1003) is 1,001,999, so --min 1999
+        # leaves one candidate more than the limit
+        assert semigroup.frobenius(1001, 1003) + 1 - 1999 == MAX_GAP_SCAN + 1
+        monkeypatch.setattr(semigroup.SemigroupPair, "member", refuse)
+        code, out, err = run(capsys, "semigroup", "1001", "1003", "--min", "1999", *extra)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == (f"usage error: listing gaps would test {MAX_GAP_SCAN + 1} "
+                       f"candidates, more than {MAX_GAP_SCAN}; raise --min\n")
+
+    def test_gap_scan_at_limit(self, capsys, monkeypatch):
+        monkeypatch.setattr(semigroup.SemigroupPair, "gaps", lambda pair, min_k: [min_k])
+        code, out, _ = run(capsys, "semigroup", "1001", "1003", "--min", "2000")
+        assert (code, out) == (0, "2000\n")
+        # a membership query alone scans nothing
+        code, out, _ = run(capsys, "semigroup", "99989", "99991", "--k", "7")
+        assert (code, out) == (0, "7: not a member\n")
 
 
 class TestGallery:
@@ -280,6 +321,18 @@ class TestEnumerate:
     def test_bad_max(self, capsys):
         code, _, err = run(capsys, "enumerate", "--max", "0")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_max_limit(self, capsys, monkeypatch, fmt):
+        monkeypatch.setattr(classify_module, "classify", refuse)
+        monkeypatch.setattr(cli, "classify", refuse)
+        code, out, err = run(capsys, "enumerate", "--max", str(MAX_ENUMERATE + 1),
+                             "--format", fmt)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == f"usage error: --max must be at most {MAX_ENUMERATE}\n"
+        monkeypatch.setattr(cli, "enumerate_classifications", lambda bound: iter(()))
+        code, out, _ = run(capsys, "enumerate", "--max", str(MAX_ENUMERATE), "--format", fmt)
+        assert code == 0
 
 
 class TestUsage:

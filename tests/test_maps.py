@@ -67,6 +67,12 @@ class TestPolyMap:
         jac = gallery("su_example").jacobian_determinant()
         assert jac.is_constant() and not jac.is_zero()
 
+    def test_jacobian_determinant_small_dimensions(self):
+        # the empty matrix has determinant 1; a 1x1 matrix is its entry
+        assert PolyMap(()).jacobian_determinant() == Polynomial.constant(0, 1)
+        f = PolyMap((p("x^3 + 2*x", n=1),))
+        assert f.jacobian_determinant() == p("3*x^2 + 2", n=1)
+
     def test_json_roundtrip(self):
         f = gallery("nagata")
         assert PolyMap.from_json(f.to_json()) == f

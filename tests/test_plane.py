@@ -3,8 +3,9 @@ import random
 import pytest
 
 from conftest import random_plane_chain
+from tamedeg import plane
 from tamedeg.maps import Factor, PolyMap, compose_all, elementary, identity
-from tamedeg.plane import (InconsistentLengthError, NotKellerError,
+from tamedeg.plane import (InconsistentLengthError, NotKellerError, PeelStuckError,
                            inverse_mdeg_prediction, length_bound, length_of,
                            omega, peel)
 from tamedeg.poly import Polynomial, parse_poly
@@ -80,6 +81,33 @@ class TestPeel:
         assert str(info.value) == ("Jacobian determinant is 2*y, "
                                    "not a nonzero constant")
         assert f.deg() == 12 and degrees == [2]
+
+    def test_strips_test_proportionality_by_subtraction(self, monkeypatch):
+        # three strips, several steps each, under an affine end and no
+        # equal-degree head: no step forms a leading form or its power
+        t1 = elementary(2, 0, p2("y^3 - 2*y^2 + y")).map  # (x + f(y), y)
+        t2 = elementary(2, 1, p2("x^2 + 3*x")).map        # (x, y + f(x))
+        t3 = elementary(2, 0, p2("1/2*y^2 - y")).map
+        l1 = PolyMap((p2("x + 2*y + 1"), p2("x + y")))
+        f = compose_all([t3, t2, t1, l1])
+        assert f.mdeg() == (12, 6)
+        calls = []
+        monkeypatch.setattr(plane, "is_power_proportional",
+                            lambda *a: calls.append("proportional"))
+        monkeypatch.setattr(Polynomial, "leading_form",
+                            lambda self: calls.append("leading_form"))
+        dec = peel(f)
+        assert calls == []
+        assert dec.length == 3 and dec.factor_degrees == [3, 2, 2]
+
+    def test_stuck_strip_step(self):
+        # deg q = 2 * deg p, but lead(q) = x^4 + x^3*y is no multiple of x^4
+        g = PolyMap((p2("x^2"), p2("y + x^4 + x^3*y")))
+        with pytest.raises(PeelStuckError) as info:
+            plane._peel_chain(g)
+        assert str(info.value) == ("leading form at degree 4 is not proportional "
+                                   "to a power of the lower component's form")
+        assert info.value.remainder == g
 
     def test_wrong_dimension(self):
         with pytest.raises(ValueError):
