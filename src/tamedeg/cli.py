@@ -151,8 +151,7 @@ def _cmd_semigroup(args) -> int:
     payload: dict = {"d1": pair.d1, "d2": pair.d2}
     list_gaps = args.gaps or args.k is None
     if list_gaps:
-        frob = pair.frobenius()
-        scanned = frob + 1 - max(args.min_k, 0)
+        scanned = len(pair.gap_candidates(args.min_k))
         if scanned > semigroup.MAX_GAP_SCAN:
             raise _UsageError(
                 f"listing gaps would test {scanned} candidates, more than "
@@ -163,7 +162,7 @@ def _cmd_semigroup(args) -> int:
         payload["member"] = dec is not None
         payload["decomposition"] = list(dec) if dec else None
     if list_gaps:
-        payload["frobenius"] = frob
+        payload["frobenius"] = pair.frobenius()
         payload["gaps"] = pair.gaps(args.min_k)
     if args.json:
         print(json.dumps(payload, indent=2))

@@ -117,9 +117,11 @@ def _peel_chain(f_map: PolyMap) -> Decomposition:
     strip is conjugated by the swap S so that T_1 is (x + f(y), y), and then
     L1 = S . (p, q) and L2 = A . S.
 
-    A strip step at degree dr = k * deg(low) subtracts c * low^k, with c read
-    at a monomial of degree dr of low^k.  With no zero divisors, lead(low^k) =
-    lead(low)^k, so the degree drops exactly when lead(rem) = c * lead(low)^k.
+    A strip step at degree dr = k * deg(low) subtracts c * low^k, c read at a
+    top monomial of low^k; as lead(low^k) = lead(low)^k, the degree drops
+    exactly when lead(rem) = c * lead(low)^k.  The first step of a strip,
+    which builds low^2, ..., low^k, tests the leading forms before it, so a
+    stuck step such as (x^2 + x + y, y^2000) builds no powers.
     """
     g = f_map
     c = 0  # the head fix (x + c*y, y); the identity when c = 0
@@ -148,12 +150,14 @@ def _peel_chain(f_map: PolyMap) -> Decomposition:
                 raise PeelStuckError(
                     f"degree {dr} not divisible by {dl} while peeling", g)
             k = dr // dl
-            while len(powers) < k:
-                powers.append(powers[-1] * low)
-            top = powers[k - 1]
-            e = max(top.numerators, key=sum)  # of degree dr
-            coeffs[k] = ck = rem.coefficient(e) / top.coefficient(e)
-            rem = rem - top.scale(ck)
+            if len(powers) >= k or is_power_proportional(
+                    rem.leading_form(), low.leading_form()):
+                while len(powers) < k:
+                    powers.append(powers[-1] * low)
+                top = powers[k - 1]
+                e = max(top.numerators, key=sum)  # of degree dr
+                coeffs[k] = ck = rem.coefficient(e) / top.coefficient(e)
+                rem = rem - top.scale(ck)
             if rem.total_degree() == dr:
                 raise PeelStuckError(
                     f"leading form at degree {dr} is not proportional to a "

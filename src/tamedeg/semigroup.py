@@ -51,10 +51,13 @@ class SemigroupPair:
             return -1
         return (self.d1 - 1) * (self.d2 - 1) - 1
 
+    def gap_candidates(self, min_k: int = 0) -> range:
+        """The k that gaps(min_k) tests: 0 <= k, min_k <= k <= frobenius()."""
+        return range(max(min_k, 0), self.frobenius() + 1)
+
     def gaps(self, min_k: int = 0) -> list[int]:
         """All non-members k with min_k <= k <= frobenius()."""
-        frob = self.frobenius()
-        return [k for k in range(max(min_k, 0), frob + 1) if k not in self]
+        return [k for k in self.gap_candidates(min_k) if k not in self]
 
     def __repr__(self):
         return f"SemigroupPair({self.d1}, {self.d2})"

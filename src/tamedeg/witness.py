@@ -306,22 +306,31 @@ def build(recipe: WitnessRecipe) -> Witness:
 # ---------------------------------------------------------------------------
 
 def _is_generator(m: PolyMap) -> bool:
-    """Whether m is elementary or affine with an invertible linear part.
+    """Whether m is triangular or affine with an invertible linear part.
 
-    Elementary: one component is x_i + f with f free of x_i and every other
-    component is its own variable (the identity included).  Only the stored
-    form of each component is read.
+    Triangular: each component i is a*x_i + f_i with a != 0 and f_i free of
+    x_i, and the variables can be ordered so that every f_i involves only
+    variables placed before x_i.  Such a map is a diagonal linear map
+    followed by elementary ones, so elementary, ``maps.triangular`` and
+    ``maps.de_jonquieres`` factors (and the identity) all pass.  Only the
+    stored form of each component is read.
     """
-    units = [tuple(int(t == j) for t in range(m.n)) for j in range(m.n)]
-    moved = [i for i, c in enumerate(m.components)
-             if c.denominator != 1 or c.numerators != {units[i]: 1}]
-    if not moved:
-        return True
-    if len(moved) == 1:
-        i = moved[0]
-        c = m.components[i]
-        if c.numerators.get(units[i]) == c.denominator and all(
-                e == units[i] or not e[i] for e in c.numerators):
+    n = m.n
+    units = [tuple(int(t == j) for t in range(n)) for j in range(n)]
+    uses = {}  # i: the variables f_i involves, for each component not x_i
+    for i, c in enumerate(m.components):
+        own = units[i]
+        if c.numerators != {own: c.denominator}:
+            if not c.numerators.get(own) or any(e[i] for e in c.numerators if e != own):
+                break
+            uses[i] = c.variables() - {i}
+    else:
+        # drop, round by round, each component whose f_i uses no variable
+        # still left; a cycle among the f_i leaves some
+        while ready := [i for i, used in uses.items() if used.isdisjoint(uses)]:
+            for i in ready:
+                del uses[i]
+        if not uses:
             return True
     if any(sum(e) > 1 for c in m.components for e in c.numerators):
         return False
@@ -333,7 +342,7 @@ def _is_generator(m: PolyMap) -> bool:
 
 
 def verify_witness_json(data: dict) -> bool:
-    """Check that every persisted factor is a tame generator (elementary, or
+    """Check that every persisted factor is a tame generator (triangular, or
     affine with an invertible linear part), then recompose the chain and
     re-measure its multidegree.
 

@@ -11,7 +11,8 @@ from tamedeg import classify as classify_module
 from tamedeg import cli, reductions, semigroup
 from tamedeg.classify import MAX_ENUMERATE, PRIME_TEST_BOUND
 from tamedeg.cli import EXIT_USAGE, main
-from tamedeg.maps import PolyMap, elementary, gallery
+from tamedeg.maps import (PolyMap, compose_all, de_jonquieres, elementary, gallery,
+                          triangular)
 from tamedeg.plane import Decomposition
 from tamedeg.poly import MAX_EXPONENT, parse_poly
 from tamedeg.reductions import MAX_DEG_BOUND
@@ -22,6 +23,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def p3(text):
+    return parse_poly(text, n=3)
+
+
+def m3(*components):
+    return PolyMap(tuple(map(p3, components)))
 
 
 def refuse(*args):
@@ -130,18 +139,22 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "/nonexistent/w.json")
         assert code == EXIT_USAGE
 
-    @pytest.mark.parametrize("target, components, expected", [
+    @pytest.mark.parametrize("factors, expected", [
         # the Nagata map is not tame, though its mdeg is the target
-        ([5, 3, 1], gallery("nagata").to_json()["components"], "MISMATCH"),
-        ([2, 3, 5], ["x^2", "y^3", "z^5"], "MISMATCH"),
-        ([1, 1, 1], ["x + y", "2*x + 2*y", "z"], "MISMATCH"),  # singular affine
-        ([1, 1, 1], ["y + 1", "x - 1/2*z", "3*z"], "OK"),
+        ([gallery("nagata")], "MISMATCH"),
+        ([elementary(3, 2, p3("x^2")).map, gallery("nagata")], "MISMATCH"),
+        ([m3("x^2", "y^3", "z^5")], "MISMATCH"),
+        ([m3("x + y", "2*x + 2*y", "z")], "MISMATCH"),  # singular affine
+        ([m3("x + y^2", "y + x^2", "z")], "MISMATCH"),  # shifts in a cycle
+        ([m3("y + 1", "x - 1/2*z", "3*z")], "OK"),      # invertible affine
+        ([m3("2*x + y^2", "y", "z")], "OK"),            # scaled elementary
+        ([triangular([p3("z^2"), p3("x*z + z^3")], perm=[2, 0, 1]).map], "OK"),
+        ([de_jonquieres([2, -1, 3], [p3("y*z^2"), p3("z^3"), p3("1")]).map], "OK"),
     ])
-    def test_factors_must_be_generators(self, capsys, tmp_path, target, components,
-                                        expected):
+    def test_factors_must_be_generators(self, capsys, tmp_path, factors, expected):
         path = tmp_path / "w.json"
-        path.write_text(json.dumps({"target": target, "factors": [
-            {"n": 3, "components": components}]}))
+        path.write_text(json.dumps({"target": list(compose_all(factors).mdeg()),
+                                    "factors": [f.to_json() for f in factors]}))
         code, out, _ = run(capsys, "verify", str(path))
         assert (code, out) == ((0 if expected == "OK" else 1), expected + "\n")
 

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import random_plane_chain
 from tamedeg import plane
+from tamedeg.bracket import is_power_proportional
 from tamedeg.maps import Factor, PolyMap, compose_all, elementary, identity
 from tamedeg.plane import (InconsistentLengthError, NotKellerError, PeelStuckError,
                            inverse_mdeg_prediction, length_bound, length_of,
@@ -82,23 +83,47 @@ class TestPeel:
                                    "not a nonzero constant")
         assert f.deg() == 12 and degrees == [2]
 
-    def test_strips_test_proportionality_by_subtraction(self, monkeypatch):
+    def test_one_leading_form_test_per_strip(self, monkeypatch):
         # three strips, several steps each, under an affine end and no
-        # equal-degree head: no step forms a leading form or its power
+        # equal-degree head: only the first step of each strip, the one that
+        # builds the powers of the lower component, compares leading forms
         t1 = elementary(2, 0, p2("y^3 - 2*y^2 + y")).map  # (x + f(y), y)
         t2 = elementary(2, 1, p2("x^2 + 3*x")).map        # (x, y + f(x))
         t3 = elementary(2, 0, p2("1/2*y^2 - y")).map
         l1 = PolyMap((p2("x + 2*y + 1"), p2("x + y")))
         f = compose_all([t3, t2, t1, l1])
         assert f.mdeg() == (12, 6)
-        calls = []
+        tested = []
         monkeypatch.setattr(plane, "is_power_proportional",
-                            lambda *a: calls.append("proportional"))
-        monkeypatch.setattr(Polynomial, "leading_form",
-                            lambda self: calls.append("leading_form"))
+                            lambda h, f: tested.append(h.total_degree())
+                            or is_power_proportional(h, f))
         dec = peel(f)
-        assert calls == []
+        assert tested == [12, 6, 3]
         assert dec.length == 3 and dec.factor_degrees == [3, 2, 2]
+
+    def test_stuck_first_step_builds_no_powers(self, monkeypatch):
+        # lead(y^2000) is no multiple of lead(x^2 + x + y)^1000 = x^2000; the
+        # step must stop on the leading forms, not after building the 1000
+        # dense powers of x^2 + x + y
+        g = PolyMap((p2("x^2 + x + y"), p2("y^2000")))
+        products = []
+        mul = Polynomial.__mul__
+
+        def counted(a, b):
+            products.append(None)
+            if len(products) > 20:
+                raise AssertionError("powers of the lower component were built")
+            return mul(a, b)
+
+        monkeypatch.setattr(Polynomial, "__mul__", counted)
+        with pytest.raises(PeelStuckError) as info:
+            plane._peel_chain(g)
+        assert str(info.value) == ("leading form at degree 2000 is not proportional "
+                                   "to a power of the lower component's form")
+        assert info.value.remainder == g
+        products.clear()
+        with pytest.raises(NotKellerError, match="4000\\*x\\*y\\^1999 \\+ 2000\\*y\\^1999"):
+            peel(g)
 
     def test_stuck_strip_step(self):
         # deg q = 2 * deg p, but lead(q) = x^4 + x^3*y is no multiple of x^4

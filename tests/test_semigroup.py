@@ -83,6 +83,17 @@ class TestGaps:
     def test_small_pair(self):
         assert gaps(3, 5) == [1, 2, 4, 7]
 
+    def test_gaps_test_exactly_the_candidates(self, monkeypatch):
+        pair = SemigroupPair(3, 5)
+        assert pair.gap_candidates() == pair.gap_candidates(-4) == range(0, 8)
+        assert len(pair.gap_candidates(10)) == 0
+        tested = []
+        member_of = SemigroupPair.member
+        monkeypatch.setattr(SemigroupPair, "member",
+                            lambda self, k: tested.append(k) or member_of(self, k))
+        assert pair.gaps(2) == [2, 4, 7]
+        assert tested == list(pair.gap_candidates(2))
+
     def test_gap_count_is_half_frobenius_interval(self):
         # symmetric numerical semigroups: exactly (d1-1)(d2-1)/2 gaps
         for d1, d2 in [(3, 5), (5, 7), (5, 11), (7, 11)]:

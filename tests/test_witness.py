@@ -204,14 +204,6 @@ class TestPersistence:
                         data = json.loads(json.dumps(build(c.witness_recipe).to_json()))
                         assert verify_witness_json(data), (d1, d2, d3)
 
-    def test_non_generator_factor_fails_verification(self):
-        # the Nagata map has mdeg (5, 3, 1) but is not tame
-        data = {"target": [5, 3, 1], "factors": [gallery("nagata").to_json()]}
-        assert not verify_witness_json(data)
-        data["factors"].insert(0, {"n": 3, "components": ["x", "y", "z + x^2"]})
-        data["target"] = [5, 3, 10]
-        assert not verify_witness_json(data)
-
     def test_factorless_witness_fails_verification(self):
         # the target is the true mdeg of the named map, so only the missing
         # factor chain can make verification fail
