@@ -38,11 +38,6 @@ def poisson_degree(f: Polynomial, g: Polynomial):
     return NEG_INF if best == NEG_INF else best + 2
 
 
-def algebraically_independent(f: Polynomial, g: Polynomial) -> bool:
-    """True iff some 2x2 Jacobian minor of (f,g) is nonzero."""
-    return poisson_degree(f, g) != NEG_INF
-
-
 def is_power_proportional(hbar: Polynomial, fbar: Polynomial
                           ) -> Optional[tuple[Fraction, int]]:
     """(c, k) with hbar = c * fbar^k exactly, or None.
@@ -90,7 +85,7 @@ def reduced_pair_report(f: Polynomial, g: Polynomial) -> ReducedPairReport:
     """
     if f.total_degree() < 1 or g.total_degree() < 1:
         raise ValueError("inputs must be nonconstant")
-    independent = algebraically_independent(f, g)
+    independent = poisson_degree(f, g) != NEG_INF
     fbar, gbar = f.leading_form(), g.leading_form()
     dependent_forms = poisson_degree(fbar, gbar) == NEG_INF
     f_in_g = is_power_proportional(fbar, gbar) is not None

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import sys
 from typing import Optional, Sequence
@@ -119,27 +120,38 @@ def _cmd_decide(args) -> int:
     return _STATUS_EXIT[result.status]
 
 
+def _print_json_array(items, chunk: int = 1000) -> None:
+    """Print json.dumps(list(items), indent=2) without holding the list, by
+    joining the inner text of the arrays of each chunk of items."""
+    items = iter(items)
+    sep = "[\n"
+    while part := list(itertools.islice(items, chunk)):
+        print(sep + json.dumps(part, indent=2)[2:-2], end="")
+        sep = ",\n"
+    print("\n]" if sep == ",\n" else "[]")
+
+
 def _cmd_enumerate(args) -> int:
     if args.max_d3 < 1:
         raise _UsageError("--max must be >= 1")
     if args.max_d3 > MAX_ENUMERATE:
         raise _UsageError(f"--max must be at most {MAX_ENUMERATE}")
     counts: dict[str, int] = {}
-    rows = []
-    if args.format == "csv":
+
+    def rows():
+        for c in enumerate_classifications(args.max_d3):
+            counts[c.status.value] = counts.get(c.status.value, 0) + 1
+            yield list(c.sorted_mdeg), c.status.value, c.rule, list(c.original)
+
+    if args.format == "json":
+        _print_json_array({"sorted": s, "status": status, "rule": rule, "original": orig}
+                          for s, status, rule, orig in rows())
+    else:
         print("d1,d2,d3,status,rule,original")
-    for c in enumerate_classifications(args.max_d3):
-        s, status, orig = c.sorted_mdeg, c.status.value, c.original
-        counts[status] = counts.get(status, 0) + 1
-        if args.format == "json":
-            rows.append({"sorted": list(s), "status": status, "rule": c.rule,
-                         "original": list(orig)})
-        else:
-            rule_csv = c.rule.replace('"', "'")
+        for s, status, rule, orig in rows():
+            rule_csv = rule.replace('"', "'")
             print(f'{s[0]},{s[1]},{s[2]},{status},"{rule_csv}",'
                   f'{orig[0]} {orig[1]} {orig[2]}')
-    if args.format == "json":
-        print(json.dumps(rows, indent=2))
     print("# " + " ".join(f"{k}={v}" for k, v in sorted(counts.items())),
           file=sys.stderr)
     return 0

@@ -113,7 +113,6 @@ def compose_all(maps: Sequence[PolyMap]) -> PolyMap:
 @dataclass(frozen=True)
 class Factor:
     """A generator with a precomputed exact inverse."""
-    kind: str
     map: PolyMap
     inverse: PolyMap
 
@@ -130,7 +129,7 @@ def elementary(n: int, i: int, f: Polynomial) -> Factor:
     inv = list(comps)
     comps[i] = comps[i] + f
     inv[i] = inv[i] - f
-    return Factor("elementary", PolyMap(tuple(comps)), PolyMap(tuple(inv)))
+    return Factor(PolyMap(tuple(comps)), PolyMap(tuple(inv)))
 
 
 def triangular(fs: Sequence[Polynomial], perm: Sequence[int] | None = None) -> Factor:
@@ -157,7 +156,7 @@ def triangular(fs: Sequence[Polynomial], perm: Sequence[int] | None = None) -> F
     inv = list(identity(n).components)
     for k, f in enumerate(fs, start=1):
         inv[order[k]] = Polynomial.variable(n, order[k]) - f.substitute(inv)
-    return Factor("triangular", fwd, PolyMap(tuple(inv)))
+    return Factor(fwd, PolyMap(tuple(inv)))
 
 
 def de_jonquieres(scalars: Sequence, fs: Sequence[Polynomial]) -> Factor:
@@ -179,7 +178,7 @@ def de_jonquieres(scalars: Sequence, fs: Sequence[Polynomial]) -> Factor:
     inv = list(identity(n).components)
     for i in range(n - 1, -1, -1):
         inv[i] = (Polynomial.variable(n, i) - fs[i].substitute(inv)).scale(1 / a[i])
-    return Factor("de_jonquieres", fwd, PolyMap(tuple(inv)))
+    return Factor(fwd, PolyMap(tuple(inv)))
 
 
 def affine(matrix: Sequence[Sequence], vector: Sequence | None = None) -> Factor:
@@ -196,7 +195,7 @@ def affine(matrix: Sequence[Sequence], vector: Sequence | None = None) -> Factor
                              for row, c in zip(rows, shift)))
 
     inv_shift = [-sum(x * y for x, y in zip(row, v)) for row in m_inv]
-    return Factor("affine", rows_to_map(matrix, v), rows_to_map(m_inv, inv_shift))
+    return Factor(rows_to_map(matrix, v), rows_to_map(m_inv, inv_shift))
 
 
 def linear_map(matrix: Sequence[Sequence]) -> Factor:
@@ -207,9 +206,7 @@ def permutation(n: int, perm: Sequence[int]) -> Factor:
     """Map sending x_{perm[i]} to position i: components (x_perm[0], ...)."""
     if sorted(perm) != list(range(n)):
         raise ValueError("not a permutation")
-    rows = [[int(perm[i] == j) for j in range(n)] for i in range(n)]
-    f = affine(rows)
-    return Factor("permutation", f.map, f.inverse)
+    return affine([[int(perm[i] == j) for j in range(n)] for i in range(n)])
 
 
 def swap(n: int, i: int, j: int) -> Factor:

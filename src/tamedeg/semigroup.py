@@ -56,8 +56,14 @@ class SemigroupPair:
         return range(max(min_k, 0), self.frobenius() + 1)
 
     def gaps(self, min_k: int = 0) -> list[int]:
-        """All non-members k with min_k <= k <= frobenius()."""
-        return [k for k in self.gap_candidates(min_k) if k not in self]
+        """All non-members k with min_k <= k <= frobenius(): the positive
+        d1*d2 - a*d1 - b*d2 with a, b >= 1, each once (Sylvester).  Only those
+        of at least max(min_k, 1) are formed, no more than gap_candidates."""
+        self.frobenius()  # raises ValueError on a non-coprime pair
+        d1, d2, lo = self.d1, self.d2, max(min_k, 1)
+        return sorted(d1 * d2 - a * d1 - b * d2
+                      for b in range(1, (d1 * d2 - d1 - lo) // d2 + 1)
+                      for a in range(1, (d1 * d2 - b * d2 - lo) // d1 + 1))
 
     def __repr__(self):
         return f"SemigroupPair({self.d1}, {self.d2})"

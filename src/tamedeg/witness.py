@@ -32,11 +32,6 @@ class WitnessRecipe:
     def to_json(self) -> dict:
         return {"kind": self.kind, **self.params}
 
-    @classmethod
-    def from_json(cls, data: dict) -> "WitnessRecipe":
-        params = {k: v for k, v in data.items() if k != "kind"}
-        return cls(data["kind"], params)
-
 
 @dataclass
 class Witness:
@@ -102,87 +97,18 @@ def build_sum_rule(degrees: Sequence[int], i: int, coeffs: Sequence[int]) -> Wit
 
 
 def find_sum_rule(degrees: Sequence[int]) -> Optional[WitnessRecipe]:
-    """A sum-rule recipe for a sorted degree tuple, if one exists (n=3)."""
+    """A sum-rule recipe for a sorted degree triple, if one exists."""
     d = tuple(degrees)
-    if len(d) >= 2 and d[1] % d[0] == 0:
+    if d[1] % d[0] == 0:
         return WitnessRecipe("sum_rule",
                              {"degrees": list(d), "index": 1,
                               "coeffs": [d[1] // d[0]]})
-    if len(d) >= 3:
-        dec = SemigroupPair(d[0], d[1]).member(d[2])
-        if dec is not None:
-            return WitnessRecipe("sum_rule",
-                                 {"degrees": list(d), "index": 2,
-                                  "coeffs": [dec[0], dec[1]]})
+    dec = SemigroupPair(d[0], d[1]).member(d[2])
+    if dec is not None:
+        return WitnessRecipe("sum_rule",
+                             {"degrees": list(d), "index": 2,
+                              "coeffs": [dec[0], dec[1]]})
     return None
-
-
-# ---------------------------------------------------------------------------
-# padding: embed an m-dimensional witness into n dimensions
-# ---------------------------------------------------------------------------
-
-def _embed_poly(p: Polynomial, n: int, positions: Sequence[int]) -> Polynomial:
-    out = {}
-    for exps, c in p.terms.items():
-        new = [0] * n
-        for j, e in enumerate(exps):
-            new[positions[j]] = e
-        out[tuple(new)] = c
-    return Polynomial(n, out)
-
-
-def _lift_factor(f: Factor, n: int, positions: Sequence[int]) -> Factor:
-    def lift_map(pm: PolyMap) -> PolyMap:
-        comps = [Polynomial.variable(n, i) for i in range(n)]
-        for j, comp in enumerate(pm.components):
-            comps[positions[j]] = _embed_poly(comp, n, positions)
-        return PolyMap(tuple(comps))
-    return Factor(f.kind, lift_map(f.map), lift_map(f.inverse))
-
-
-def plane_witness(d1: int, d2: int) -> Witness:
-    """A 2-dimensional witness with mdeg (d1, d2); requires d1 | d2."""
-    if d1 < 1 or d2 < d1 or d2 % d1:
-        raise ConstructionError("requires 1 <= d1 <= d2 with d1 | d2")
-    recipe = WitnessRecipe("plane", {"d1": d1, "d2": d2})
-    if d1 == 1:
-        factors = [elementary(2, 1, Polynomial.monomial(2, (d2, 0)))]
-    else:
-        t1 = elementary(2, 0, Polynomial.monomial(2, (0, d1)))
-        t2 = elementary(2, 1, Polynomial.monomial(2, (d2 // d1, 0)))
-        factors = [t2, t1]
-    return _finish((d1, d2), recipe, factors)
-
-
-def build_padding(sub: Witness, degrees: Sequence[int],
-                  positions: Sequence[int]) -> Witness:
-    """Embed an m-dim witness at the given 0-based positions of an n-tuple.
-
-    Every non-embedded coordinate k picks up x_{i1}^{d_k} where i1 is the
-    first embedded position, so its degree becomes d_k exactly.
-    """
-    d = tuple(degrees)
-    n = len(d)
-    positions = list(positions)
-    if len(positions) != len(sub.target) or len(set(positions)) != len(positions):
-        raise ConstructionError("positions must be distinct, one per embedded degree")
-    if tuple(d[p] for p in positions) != tuple(sub.target):
-        raise ConstructionError("embedded degrees disagree with sub-witness target")
-    i1 = positions[0]
-    pad = []
-    for k in range(n):
-        if k in positions:
-            continue
-        if d[k] < 1:
-            raise ConstructionError("degrees must be positive")
-        exps = [0] * n
-        exps[i1] = d[k]
-        pad.append(elementary(n, k, Polynomial.monomial(n, tuple(exps))))
-    lifted = [_lift_factor(f, n, positions) for f in sub.factors]
-    recipe = WitnessRecipe("padding", {"degrees": list(d),
-                                       "positions": positions,
-                                       "sub": sub.recipe.to_json()})
-    return _finish(d, recipe, lifted + pad)
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +213,6 @@ def build(recipe: WitnessRecipe) -> Witness:
     p = recipe.params
     if recipe.kind == "sum_rule":
         return build_sum_rule(p["degrees"], p["index"], p["coeffs"])
-    if recipe.kind == "padding":
-        return build_padding(build(WitnessRecipe.from_json(p["sub"])),
-                             p["degrees"], p["positions"])
-    if recipe.kind == "plane":
-        return plane_witness(p["d1"], p["d2"])
     if recipe.kind == "four_six":
         return build_469_family(p["k"], p["variant"])
     if recipe.kind == "four_k2":

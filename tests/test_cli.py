@@ -331,6 +331,20 @@ class TestEnumerate:
         data = json.loads(out)
         assert all({"sorted", "status", "rule", "original"} <= set(r) for r in data)
 
+    def test_json_stream_matches_one_dump(self, capsys):
+        rows = [{"sorted": list(c.sorted_mdeg), "status": c.status.value,
+                 "rule": c.rule, "original": list(c.original)}
+                for c in classify_module.enumerate_classifications(8)]
+        code, out, _ = run(capsys, "enumerate", "--max", "8", "--format", "json")
+        assert code == 0
+        assert out == json.dumps(rows, indent=2) + "\n"
+
+    @pytest.mark.parametrize("count", range(6))
+    def test_json_chunks_join_to_one_dump(self, capsys, count):
+        items = [{"k": i, "s": [i, "a\nb"]} for i in range(count)]
+        cli._print_json_array(iter(items), chunk=2)
+        assert capsys.readouterr().out == json.dumps(items, indent=2) + "\n"
+
     def test_bad_max(self, capsys):
         code, _, err = run(capsys, "enumerate", "--max", "0")
         assert code == EXIT_USAGE

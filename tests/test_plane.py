@@ -147,7 +147,7 @@ class TestInverse:
     def test_wrong_factor_inverse_detected(self):
         dec = peel(PolyMap((p2("x"), p2("y + x^3"))))
         t = dec.factors[0]
-        dec.factors[0] = Factor(t.kind, t.map, t.map)  # T in place of T^-1
+        dec.factors[0] = Factor(t.map, t.map)  # T in place of T^-1
         with pytest.raises(AssertionError, match="factor inverse"):
             dec.inverse_map()
 

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from tamedeg.semigroup import SemigroupPair, frobenius, gaps, member
@@ -22,6 +24,10 @@ def sieve_members(d1, d2, limit):
         if k >= d2 and reachable[k - d2]:
             reachable[k] = True
     return reachable
+
+
+def refuse(*args):
+    raise AssertionError("membership was tested")
 
 
 class TestMember:
@@ -83,16 +89,36 @@ class TestGaps:
     def test_small_pair(self):
         assert gaps(3, 5) == [1, 2, 4, 7]
 
-    def test_gaps_test_exactly_the_candidates(self, monkeypatch):
+    def test_gaps_test_exactly_the_candidates(self):
         pair = SemigroupPair(3, 5)
         assert pair.gap_candidates() == pair.gap_candidates(-4) == range(0, 8)
         assert len(pair.gap_candidates(10)) == 0
-        tested = []
-        member_of = SemigroupPair.member
-        monkeypatch.setattr(SemigroupPair, "member",
-                            lambda self, k: tested.append(k) or member_of(self, k))
+        assert pair.gaps(2) == [k for k in pair.gap_candidates(2) if k not in pair]
         assert pair.gaps(2) == [2, 4, 7]
-        assert tested == list(pair.gap_candidates(2))
+        assert pair.gaps(10) == []
+
+    def test_sylvester_matches_the_scan(self):
+        # the scan gaps() made before it formed Sylvester's numbers directly
+        for d1 in range(1, 40):
+            for d2 in range(d1, 60):
+                if gcd(d1, d2) != 1:
+                    continue
+                pair = SemigroupPair(d1, d2)
+                scan = [k for k in pair.gap_candidates() if k not in pair]
+                for min_k in (-3, 0, 1, 5, 37, 500, 10**6):
+                    assert pair.gaps(min_k) == [k for k in scan if k >= min_k], \
+                        (d1, d2, min_k)
+
+    def test_large_pair_never_tests_membership(self, monkeypatch):
+        monkeypatch.setattr(SemigroupPair, "member", refuse)
+        pair = SemigroupPair(10**9, 10**9 + 1)
+        f = pair.frobenius()
+        assert len(pair.gap_candidates(f - 999_999)) == 1_000_000
+        assert pair.gaps(f - 999_999) == [f]
+
+    def test_non_coprime_pair_rejected(self):
+        with pytest.raises(ValueError, match="coprime"):
+            gaps(4, 6)
 
     def test_gap_count_is_half_frobenius_interval(self):
         # symmetric numerical semigroups: exactly (d1-1)(d2-1)/2 gaps

@@ -7,9 +7,9 @@ import pytest
 from tamedeg.classify import Status, classify
 from tamedeg.maps import gallery
 from tamedeg.witness import (ConstructionError, Witness, WitnessRecipe, build,
-                             build_469_family, build_4k2, build_padding,
-                             build_sum_rule, build_tab_tail, find_sum_rule,
-                             plane_witness, tab_tail_start, verify_witness_json)
+                             build_469_family, build_4k2, build_sum_rule,
+                             build_tab_tail, find_sum_rule, tab_tail_start,
+                             verify_witness_json)
 
 
 class TestSumRule:
@@ -38,30 +38,25 @@ class TestSumRule:
         recipe = find_sum_rule((3, 6, 7))
         assert recipe.params["index"] == 1
 
+    def test_plane_divisible_pair(self):
+        for d1, d2 in [(1, 10), (2, 6), (3, 12), (5, 5)]:
+            w = build_sum_rule((d1, d2), 1, [d2 // d1])
+            assert w.verified_mdeg == (d1, d2)
 
-class TestPlaneAndPadding:
-    def test_plane_witness(self):
-        w = plane_witness(2, 6)
-        assert w.verified_mdeg == (2, 6)
+    def test_every_divisible_triple_has_a_sum_rule(self):
+        # in a sorted triple, d_a | d_b with a < b puts d_b in the semigroup
+        # of the earlier degrees
+        for d3 in range(1, 41):
+            for d2 in range(1, d3 + 1):
+                for d1 in range(1, d2 + 1):
+                    d = (d1, d2, d3)
+                    if any(d[b] % d[a] == 0 for a in range(3) for b in range(a + 1, 3)):
+                        assert find_sum_rule(d) is not None, d
 
-    def test_plane_rejects_nondivisible(self):
-        with pytest.raises(ConstructionError):
-            plane_witness(2, 5)
-
-    def test_pad_plane_into_three_dims(self):
-        sub = plane_witness(2, 4)
-        w = build_padding(sub, (2, 3, 4), [0, 2])
-        assert w.verified_mdeg == (2, 3, 4)
-
-    def test_pad_with_smallest_degree_one(self):
-        sub = plane_witness(1, 10)
-        w = build_padding(sub, (1, 7, 10), [0, 2])
-        assert w.verified_mdeg == (1, 7, 10)
-
-    def test_position_mismatch_rejected(self):
-        sub = plane_witness(2, 4)
-        with pytest.raises(ConstructionError):
-            build_padding(sub, (2, 3, 5), [0, 2])
+    @pytest.mark.parametrize("kind", ["padding", "plane", "nope"])
+    def test_unknown_kind_rejected(self, kind):
+        with pytest.raises(ConstructionError, match="unknown recipe kind"):
+            build(WitnessRecipe(kind, {}))
 
 
 def measured_cancellation(w, at, bt):
@@ -190,7 +185,7 @@ class TestPersistence:
 
     def test_recipe_roundtrip(self):
         recipe = WitnessRecipe("tab_tail", {"a": 4, "b": 10, "d3": 13})
-        assert WitnessRecipe.from_json(recipe.to_json()) == recipe
+        assert recipe.to_json() == {"kind": "tab_tail", "a": 4, "b": 10, "d3": 13}
         assert build(recipe).verified_mdeg == (4, 10, 13)
 
     def test_every_built_witness_verifies(self):
