@@ -80,37 +80,29 @@ class _Hit:
 def _applicable_rules(d: tuple[int, int, int]) -> list[_Hit]:
     """All rules that apply to the sorted triple, in priority order."""
     d1, d2, d3 = d
-    sg12 = SemigroupPair(d1, d2)
-    in_sg = d3 in sg12
-    hits: list[_Hit] = []
-
-    def sum_recipe():
-        r = find_sum_rule(d)
-        if r is None:
-            raise AssertionError(f"sum rule promised but not found for {d}")
-        return r
-
-    if d1 == 1:
-        hits.append(_Hit("R1", "smallest degree 1", Status.REALIZABLE, sum_recipe()))
-    if d1 <= 2:
-        hits.append(_Hit("R2", "smallest degree at most n-1", Status.REALIZABLE,
-                         sum_recipe()))
-    if d2 % d1 == 0 or in_sg:
-        hits.append(_Hit("R3", "sum rule", Status.REALIZABLE, sum_recipe()))
-    if d1 // gcd(d1, gcd(d2, d3)) <= 2:
-        hits.append(_Hit("R4", "gcd quotient at most n-1", Status.REALIZABLE,
-                         sum_recipe()))
+    in_sg = d3 in SemigroupPair(d1, d2)
+    # find_sum_rule succeeds exactly when d1 | d2 or d3 is in <d1, d2>
+    sum_rule = find_sum_rule(d) if d2 % d1 == 0 or in_sg else None
+    d1_prime = _is_prime(d1)
+    hits = [_Hit(code, label, Status.REALIZABLE, sum_rule) for code, label, applies in (
+        ("R1", "smallest degree 1", d1 == 1),
+        ("R2", "smallest degree at most n-1", d1 <= 2),
+        ("R3", "sum rule", d2 % d1 == 0 or in_sg),
+        ("R4", "gcd quotient at most n-1", d1 // gcd(d1, gcd(d2, d3)) <= 2),
+    ) if applies]
+    if hits and sum_rule is None:
+        raise AssertionError(f"sum rule promised but not found for {d}")
     if d1 == 3 and d2 % 3 != 0 and not in_sg:
         hits.append(_Hit("R5", "smallest degree 3 criterion", Status.NOT_REALIZABLE))
     if d1 == 4:
-        hits.extend(_rule6(d2, d3, in_sg))
+        hits.extend(_rule6(d2, d3, in_sg, sum_rule))
     if d == (5, 6, 9):
         hits.append(_Hit("R7", "exceptional triple (5,6,9)", Status.NOT_REALIZABLE))
-    if _is_prime(d1) and d1 >= 5 and (2 * d3 != 3 * d2 or d2 > 2 * (d1 - 2)):
+    if d1_prime and d1 >= 5 and (2 * d3 != 3 * d2 or d2 > 2 * (d1 - 2)):
         if d2 % d1 != 0 and not in_sg:
             hits.append(_Hit("R8", "prime smallest degree criterion",
                              Status.NOT_REALIZABLE))
-    if _is_prime(d1) and d1 >= 5 and d2 == 2 * (d1 - 2) and d3 == 3 * (d1 - 2):
+    if d1_prime and d1 >= 5 and d2 == 2 * (d1 - 2) and d3 == 3 * (d1 - 2):
         if d1 <= 35:
             hits.append(_Hit("R9", "family (p, 2p-4, 3p-6), p <= 35",
                              Status.NOT_REALIZABLE))
@@ -121,7 +113,7 @@ def _applicable_rules(d: tuple[int, int, int]) -> list[_Hit]:
                      "two-dimensional Jacobian Conjecture"))
     if d1 >= 3 and d1 % 2 == 1 and d2 % 2 == 1 and gcd(d1, d2) == 1 and not in_sg:
         hits.append(_Hit("R10", "odd coprime pair criterion", Status.NOT_REALIZABLE))
-    if (_is_prime(d1) and _is_prime(d2) and d1 != d2 and d1 >= 3
+    if (d1_prime and _is_prime(d2) and d1 != d2 and d1 >= 3
             and d1 % 2 == 1 and d2 % 2 == 1 and not in_sg):
         hits.append(_Hit("R11", "distinct odd primes criterion",
                          Status.NOT_REALIZABLE,
@@ -133,13 +125,12 @@ def _applicable_rules(d: tuple[int, int, int]) -> list[_Hit]:
     return hits
 
 
-def _rule6(d2: int, d3: int, in_sg: bool) -> list[_Hit]:
+def _rule6(d2: int, d3: int, in_sg: bool, sum_rule: Optional[WitnessRecipe]) -> list[_Hit]:
     """Subcases for smallest degree 4 (appended under the single code R6)."""
     hits: list[_Hit] = []
     even2, even3 = d2 % 2 == 0, d3 % 2 == 0
     if even2 and even3:
-        rec = find_sum_rule((4, d2, d3))
-        hits.append(_Hit("R6", "degree 4, both others even", Status.REALIZABLE, rec))
+        hits.append(_Hit("R6", "degree 4, both others even", Status.REALIZABLE, sum_rule))
     elif not even2 and not even3:
         if not in_sg:
             hits.append(_Hit("R6", "degree 4, both others odd, not in semigroup",

@@ -269,12 +269,6 @@ def _cmd_reduce(args) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     handlers = {
         "decide": _cmd_decide,
         "enumerate": _cmd_enumerate,
@@ -285,6 +279,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "reduce": _cmd_reduce,
     }
     try:
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -2,8 +2,7 @@
 
 PolyMap is an ordered tuple of n polynomials in n variables.  Constructors
 for the standard generator types (elementary, triangular, de Jonquieres,
-affine) return a Factor carrying the map together with its exact inverse,
-which doubles as a tameness certificate for witness chains.
+affine) return a Factor carrying the map together with its exact inverse.
 """
 from __future__ import annotations
 
@@ -12,7 +11,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import linalg
-from .poly import DimensionMismatch, Polynomial, default_varnames, format_poly, parse_poly
+from .poly import (NAME_RE, DimensionMismatch, Polynomial, default_varnames, format_poly,
+                   parse_poly)
 
 
 @dataclass(frozen=True)
@@ -78,9 +78,10 @@ class PolyMap:
         if not isinstance(comps, list) or not all(isinstance(c, str) for c in comps):
             raise ValueError("map JSON needs 'components', a list of strings")
         if varnames is not None and not (
-                isinstance(varnames, list) and len(varnames) == n
-                and all(isinstance(v, str) for v in varnames)):
-            raise ValueError("map JSON 'vars' must be a list of n strings")
+                isinstance(varnames, list)
+                and all(isinstance(v, str) and NAME_RE.fullmatch(v) for v in varnames)
+                and len(set(varnames)) == n):
+            raise ValueError("map JSON 'vars' must be a list of n distinct variable names")
         varnames = varnames or default_varnames(n)
         comps = [parse_poly(s, varnames) for s in comps]
         if len(comps) != n:

@@ -84,9 +84,9 @@ def peel(f_map: PolyMap) -> Decomposition:
     Raises NotKellerError when the Jacobian determinant is not a nonzero
     constant, and PeelStuckError when a leading-form step fails -- either way
     the input is certifiably not an automorphism.  The Jacobian is computed
-    only once peeling has failed, and of the remainder where it stopped: every
-    map peeled off has Jacobian determinant 1, so by the chain rule the
-    remainder's equals F's.  A successful peel ends with the exact check that
+    only once peeling has failed, or before a large power list, and of the
+    remainder where it stopped: every map peeled off has Jacobian
+    determinant 1, so by the chain rule the remainder's equals F's.  A successful peel ends with the exact check that
     the decomposition recomposes to the input, which implies a constant one.
     """
     if f_map.n != 2:
@@ -94,14 +94,24 @@ def peel(f_map: PolyMap) -> Decomposition:
     try:
         dec = _peel_chain(f_map)
     except PeelStuckError as exc:
-        jac = exc.remainder.jacobian_determinant()
-        if jac.is_zero() or not jac.is_constant():
-            raise NotKellerError(
-                f"Jacobian determinant is {jac}, not a nonzero constant") from None
+        _require_keller(exc.remainder)
         raise
     if dec.compose() != f_map:
         raise AssertionError("decomposition does not recompose (internal bug)")
     return dec
+
+
+def _require_keller(g: PolyMap) -> None:
+    """Raise NotKellerError unless J(g) is a nonzero constant."""
+    jac = g.jacobian_determinant()
+    if jac.is_zero() or not jac.is_constant():
+        raise NotKellerError(
+            f"Jacobian determinant is {jac}, not a nonzero constant") from None
+
+
+# A strip step takes J(g) first when the dense term count of the powers it is
+# about to build exceeds this many times the terms of the current map g.
+POWER_TERMS_FACTOR = 64
 
 
 def _peel_chain(f_map: PolyMap) -> Decomposition:
@@ -110,18 +120,21 @@ def _peel_chain(f_map: PolyMap) -> Decomposition:
     Each step lowers the component (p, q) of higher degree in place: p by a
     strip (x + f(y), y) built from q's leading form, q by a strip
     (x, y + f(x)) built from p's.  Equal degrees, which can only occur before
-    the first strip, take the head fix (x + c*y, y) instead.  A strip leaves
-    the lowered component below the other one, so strips alternate and the
-    sum of the degrees falls at every step.  F = A . U_1 . ... . U_l . (p, q)
-    with A the head fix; if the innermost strip U_l is (x, y + f(x)), every
-    strip is conjugated by the swap S so that T_1 is (x + f(y), y), and then
-    L1 = S . (p, q) and L2 = A . S.
+    the first strip, take the head fix (x + c*y, y) instead, c read at a top
+    monomial of q: the degree drops exactly when lead(p) = c * lead(q).  A
+    strip leaves the lowered component below the other one, so strips
+    alternate and the sum of the degrees falls at every step.
+    F = A . U_1 . ... . U_l . (p, q) with A the head fix; if the innermost
+    strip U_l is (x, y + f(x)), every strip is conjugated by the swap S so
+    that T_1 is (x + f(y), y), and then L1 = S . (p, q) and L2 = A . S.
 
     A strip step at degree dr = k * deg(low) subtracts c * low^k, c read at a
     top monomial of low^k; as lead(low^k) = lead(low)^k, the degree drops
     exactly when lead(rem) = c * lead(low)^k.  The first step of a strip,
     which builds low^2, ..., low^k, tests the leading forms before it, so a
-    stuck step such as (x^2 + x + y, y^2000) builds no powers.
+    stuck step such as (x^2 + x + y, y^2000) builds no powers.  If their
+    dense term count exceeds POWER_TERMS_FACTOR times g's, J(g) = J(F) is
+    checked first, so (x^2 + x + y, x^2000) builds none either.
     """
     g = f_map
     c = 0  # the head fix (x + c*y, y); the identity when c = 0
@@ -132,13 +145,13 @@ def _peel_chain(f_map: PolyMap) -> Decomposition:
         if min(dp, dq) < 1:
             raise PeelStuckError("constant or zero component while peeling", g)
         if dp == dq:
-            # equal top degrees: leading forms must be proportional
-            prop = is_power_proportional(p.leading_form(), q.leading_form())
-            if prop is None:
+            e = max(q.numerators, key=sum)
+            c = p.coefficient(e) / q.coefficient(e)
+            head = p - q.scale(c)
+            if head.total_degree() == dp:
                 raise PeelStuckError(
                     f"equal-degree leading forms not proportional at degree {dp}", g)
-            c = prop[0]
-            g = PolyMap((p - q.scale(c), q))
+            g = PolyMap((head, q))
             continue
         i = int(dp < dq)  # the component to lower
         rem, low = (q, p) if i else (p, q)
@@ -152,6 +165,10 @@ def _peel_chain(f_map: PolyMap) -> Decomposition:
             k = dr // dl
             if len(powers) >= k or is_power_proportional(
                     rem.leading_form(), low.leading_form()):
+                dense = sum((j * dl + 1) * (j * dl + 2) // 2
+                            for j in range(len(powers) + 1, k + 1))
+                if dense > POWER_TERMS_FACTOR * (len(p.numerators) + len(q.numerators)):
+                    _require_keller(g)
                 while len(powers) < k:
                     powers.append(powers[-1] * low)
                 top = powers[k - 1]

@@ -88,7 +88,7 @@ def _mul_packed(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return {k: v for k, v in out.items() if v}
 
 
-def _sum(n: int, items: Iterable, res: "Polynomial | None" = None) -> "Polynomial":
+def _sum(n: int, items: Iterable) -> "Polynomial":
     """The Polynomial sum of ``(exps, numerator, denominator)`` terms, each
     denominator positive.  Terms are summed per denominator and the partial
     sums brought to their lcm once, so the cost is linear in the terms even
@@ -108,7 +108,7 @@ def _sum(n: int, items: Iterable, res: "Polynomial | None" = None) -> "Polynomia
             f = den // d
             for exps, v in acc.items():
                 out[exps] = out.get(exps, 0) + v * f
-    return Polynomial._make(n, {e: v for e, v in out.items() if v}, den, res)
+    return Polynomial._make(n, {e: v for e, v in out.items() if v}, den)
 
 
 class Polynomial:
@@ -117,9 +117,9 @@ class Polynomial:
     ``numerators`` and ``denominator`` are the stored form; callers may read
     them but must not change the dict."""
 
-    __slots__ = ("n", "numerators", "denominator", "_terms", "_hash")
+    __slots__ = ("n", "numerators", "denominator", "_terms")
 
-    def __init__(self, n: int, terms: Mapping[tuple, Scalar] | Iterable = ()):
+    def __new__(cls, n: int, terms: Mapping[tuple, Scalar] | Iterable = ()):
         if n < 0:
             raise ValueError("variable count must be nonnegative")
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -133,15 +133,13 @@ class Polynomial:
                 raise ValueError(f"exponents must be nonnegative integers: {exps}")
             _check_scalar(coeff)
             rationals.append((exps, coeff.numerator, coeff.denominator))
-        _sum(n, rationals, self)
+        return _sum(n, rationals)
 
     @classmethod
-    def _make(cls, n: int, numerators: dict, denominator: int = 1,
-              res: "Polynomial | None" = None) -> "Polynomial":
-        """The one place a Polynomial's fields are set.  ``numerators`` maps
-        exponent tuples of length ``n`` to nonzero ints and ``denominator`` is
-        a positive int; here they are brought to lowest terms.  ``res`` is an
-        instance under ``__init__``; omitted, a new one is made."""
+    def _make(cls, n: int, numerators: dict, denominator: int = 1) -> "Polynomial":
+        """The one place a Polynomial is made.  ``numerators`` maps exponent
+        tuples of length ``n`` to nonzero ints and ``denominator`` is a
+        positive int; here they are brought to lowest terms."""
         if denominator != 1:
             g = denominator
             for v in numerators.values():
@@ -151,13 +149,11 @@ class Polynomial:
             if g != 1:
                 denominator //= g
                 numerators = {e: v // g for e, v in numerators.items()}
-        if res is None:
-            res = cls.__new__(cls)
+        res = object.__new__(cls)
         object.__setattr__(res, "n", n)
         object.__setattr__(res, "numerators", numerators)
         object.__setattr__(res, "denominator", denominator)
         object.__setattr__(res, "_terms", None)
-        object.__setattr__(res, "_hash", None)
         return res
 
     def __setattr__(self, name, value):
@@ -405,11 +401,7 @@ class Polynomial:
                 and self.numerators == other.numerators)
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((self.n, self.denominator, frozenset(self.numerators.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.n, self.denominator, frozenset(self.numerators.items())))
 
     def __bool__(self):
         return bool(self.numerators)
@@ -483,8 +475,9 @@ def format_poly(p: Polynomial, varnames: Sequence[str] | None = None) -> str:
 
 # The last group catches any other character, so the matches tile the text
 # up to trailing whitespace.
+NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")  # a variable name
 _TOKEN_RE = re.compile(
-    r"\s*(?:(\d+/\d+|\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()])|(\S))")
+    rf"\s*(?:(\d+/\d+|\d+)|({NAME_RE.pattern})|([-+*^()])|(\S))")
 _KINDS = (None, "num", "name", "op")
 
 # Parentheses and unary minus signs may nest this deep; the parser recurses

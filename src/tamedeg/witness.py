@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .linalg import SingularMatrixError, invert_matrix
@@ -67,14 +67,14 @@ def _finish(target, recipe, factors, cancellation_degree=None) -> Witness:
 # sum rule: d_i = sum_{j<i} k_j d_j
 # ---------------------------------------------------------------------------
 
-def build_sum_rule(degrees: Sequence[int], i: int, coeffs: Sequence[int]) -> Witness:
-    """Witness for a sorted degree tuple where d_i = sum_{j<i} coeffs[j]*d_j.
+def build_sum_rule(degrees: Sequence[int], index: int, coeffs: Sequence[int]) -> Witness:
+    """Witness for sorted degrees d with d_i = sum_{j<i} coeffs[j]*d_j, i = index.
 
     Index i is 0-based; coeffs has length i with nonnegative entries.  The
     chain is: for each k != i an elementary map adding x_i^{d_k} to x_k, then
     an elementary map adding prod_{j<i} x_j^{coeffs[j]} to x_i.
     """
-    d = tuple(degrees)
+    d, i = tuple(degrees), index
     n = len(d)
     if not 0 <= i < n:
         raise ConstructionError("index out of range")
@@ -180,15 +180,13 @@ def build_tab_tail(a: int, b: int, d3: int) -> Witness:
     g = gcd(a, b)
     at, bt = a // g, b // g
     # low = lcm(a, b) - r with a <= r <= b - 1, so 1 <= p <= b - 1 and q >= 0
-    m = next(m for m in range(low, low + a) if (d3 - m) % a == 0)
+    m = low + (d3 - low) % a
     q = (d3 - m) // a
     p = m - b * (at - 1)
-    # univariate forward substitution: [X^s](P^at) = C(bt, s) for s <= floor(b/a)
+    # a_s of (1 + X)^(bt/at), so that P^at = (1 + X)^bt up to X^floor(b/a)
     coeffs = [Fraction(1)]
     for s in range(1, b // a + 1):
-        partial = Polynomial(1, {(l,): c for l, c in enumerate(coeffs)})
-        got = (partial ** at).coefficient((s,))
-        coeffs.append((comb(bt, s) - got) / at)
+        coeffs.append(coeffs[-1] * (Fraction(bt, at) - s + 1) / s)
     n = 3
     mid = Polynomial.monomial(n, (0, 0, p))
     for l, al in enumerate(coeffs):
@@ -209,17 +207,16 @@ def tab_tail_start(a: int, b: int) -> int:
 # dispatcher
 # ---------------------------------------------------------------------------
 
+# a recipe's params are its builder's keyword arguments
+_BUILDERS = {"sum_rule": build_sum_rule, "four_six": build_469_family,
+             "four_k2": build_4k2, "tab_tail": build_tab_tail}
+
+
 def build(recipe: WitnessRecipe) -> Witness:
-    p = recipe.params
-    if recipe.kind == "sum_rule":
-        return build_sum_rule(p["degrees"], p["index"], p["coeffs"])
-    if recipe.kind == "four_six":
-        return build_469_family(p["k"], p["variant"])
-    if recipe.kind == "four_k2":
-        return build_4k2(p["k"], p["d3"])
-    if recipe.kind == "tab_tail":
-        return build_tab_tail(p["a"], p["b"], p["d3"])
-    raise ConstructionError(f"unknown recipe kind {recipe.kind!r}")
+    builder = _BUILDERS.get(recipe.kind)
+    if builder is None:
+        raise ConstructionError(f"unknown recipe kind {recipe.kind!r}")
+    return builder(**recipe.params)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from tamedeg import classify as classify_module
 from tamedeg.classify import (PRIME_TEST_BOUND, Status, _applicable_rules,
                               _is_prime, classify, enumerate_classifications)
 from tamedeg.semigroup import SemigroupPair, frobenius
@@ -146,3 +147,12 @@ class TestStructuralProperties:
                         ((a, b, c), statuses)
                     count += 1
         assert count == 59_640
+
+    def test_one_sum_rule_search_per_triple(self, monkeypatch):
+        calls = []
+        find = classify_module.find_sum_rule
+        monkeypatch.setattr(classify_module, "find_sum_rule",
+                            lambda d: calls.append(d) or find(d))
+        for c in enumerate_classifications(30):
+            assert len(calls) <= 1, (c.sorted_mdeg, calls)
+            calls.clear()

@@ -425,6 +425,21 @@ class TestUsage:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv, content", [
+        # aliased names: both components would read x as the second variable
+        (["analyze2", "--map"], {"n": 2, "vars": ["x", "x"], "components": ["x + 1", "x"]}),
+        # "1" is no name, so the first variable could not be written
+        (["analyze2", "--map"], {"n": 2, "vars": ["1", "y"], "components": ["y + 1", "y"]}),
+        (["verify"], {"target": [1, 1, 1], "factors": [
+            {"n": 3, "vars": ["x", "y", "x"], "components": ["x", "y", "x"]}]}),
+    ])
+    def test_vars_must_be_distinct_names(self, capsys, tmp_path, argv, content):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(content))
+        assert run(capsys, *argv, str(path)) == (
+            EXIT_USAGE, "", "error: map JSON 'vars' must be a list of n distinct "
+                            "variable names\n")
+
     def test_unprintable_coefficient(self, capsys, tmp_path):
         # a valid automorphism whose inverse has a coefficient of more digits
         # than Python converts to text: a message naming the limit, exit 64

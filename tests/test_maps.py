@@ -77,6 +77,16 @@ class TestPolyMap:
         f = gallery("nagata")
         assert PolyMap.from_json(f.to_json()) == f
 
+    @pytest.mark.parametrize("varnames", [
+        ["x", "x"], ["1", "y"], ["x y", "z"], ["x", ""], ["x"], ["x", 1], "xy"])
+    def test_from_json_rejects_bad_vars(self, varnames):
+        with pytest.raises(ValueError, match="'vars' must be a list of n distinct"):
+            PolyMap.from_json({"n": 2, "vars": varnames, "components": ["x", "x"]})
+
+    def test_from_json_reads_declared_names(self):
+        f = PolyMap.from_json({"n": 2, "vars": ["_a", "b2"], "components": ["b2", "_a"]})
+        assert f == PolyMap((p("y", n=2), p("x", n=2)))
+
 
 class TestFactorInverses:
     def check(self, factor):

@@ -125,6 +125,43 @@ class TestPeel:
         with pytest.raises(NotKellerError, match="4000\\*x\\*y\\^1999 \\+ 2000\\*y\\^1999"):
             peel(g)
 
+    def test_jacobian_before_large_power_list(self, monkeypatch):
+        # lead(x^2000) = lead(x^2 + x + y)^1000, so the strip would build the
+        # 999 dense powers of x^2 + x + y; J(g) = -2000*x^1999 stops it first
+        g = PolyMap((p2("x^2 + x + y"), p2("x^2000")))
+        products = []
+        mul = Polynomial.__mul__
+
+        def counted(a, b):
+            products.append(None)
+            if len(products) > 20:
+                raise AssertionError("powers of the lower component were built")
+            return mul(a, b)
+
+        monkeypatch.setattr(Polynomial, "__mul__", counted)
+        with pytest.raises(NotKellerError) as info:
+            peel(g)
+        assert str(info.value) == ("Jacobian determinant is -2000*x^1999, "
+                                   "not a nonzero constant")
+
+    def test_jacobian_first_keeps_the_message(self):
+        with pytest.raises(NotKellerError) as info:
+            peel(PolyMap((p2("x^2 + x + y"), p2("x^40"))))
+        assert str(info.value) == ("Jacobian determinant is -40*x^39, "
+                                   "not a nonzero constant")
+
+    def test_jacobian_first_keeps_keller_maps(self, monkeypatch):
+        # x^2, ..., x^40 have a dense count above 64 times the map's 3 terms;
+        # J = 1, so peeling goes on
+        jacobians = []
+        jacobian = PolyMap.jacobian_determinant
+        monkeypatch.setattr(PolyMap, "jacobian_determinant",
+                            lambda m: jacobians.append(m) or jacobian(m))
+        f = PolyMap((p2("x"), p2("y + x^40")))
+        dec = peel(f)
+        assert jacobians == [f]
+        assert dec.length == 1 and dec.factor_degrees == [40]
+
     def test_stuck_strip_step(self):
         # deg q = 2 * deg p, but lead(q) = x^4 + x^3*y is no multiple of x^4
         g = PolyMap((p2("x^2"), p2("y + x^4 + x^3*y")))

@@ -1,11 +1,12 @@
 import json
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
 from tamedeg.classify import Status, classify
 from tamedeg.maps import gallery
+from tamedeg.poly import Polynomial
 from tamedeg.witness import (ConstructionError, Witness, WitnessRecipe, build,
                              build_469_family, build_4k2, build_sum_rule,
                              build_tab_tail, find_sum_rule, tab_tail_start,
@@ -146,6 +147,25 @@ class TestTabTail:
     def test_below_tail_rejected(self):
         with pytest.raises(ConstructionError):
             build_tab_tail(4, 10, 9)
+
+    def test_coefficients_match_forward_substitution(self):
+        # oracle: a_s read off [X^s](P^at) = C(bt, s), one s at a time
+        def forward(a, b):
+            g = gcd(a, b)
+            at, bt = a // g, b // g
+            coeffs = [Fraction(1)]
+            for s in range(1, b // a + 1):
+                partial = Polynomial(1, {(l,): c for l, c in enumerate(coeffs)})
+                got = (partial ** at).coefficient((s,))
+                coeffs.append((comb(bt, s) - got) / at)
+            return coeffs
+
+        for b in range(3, 41):
+            for a in range(2, b):
+                w = build_tab_tail(a, b, tab_tail_start(a, b))
+                mid = w.factors[2].map.components[1]
+                got = [mid.coefficient((l, 0, b - l * a)) for l in range(b // a + 1)]
+                assert got == forward(a, b), (a, b)
 
     def test_cross_oracle_against_sum_rule(self):
         # where both builders apply they must land on the same multidegree
