@@ -80,9 +80,10 @@ class _Hit:
 def _applicable_rules(d: tuple[int, int, int]) -> list[_Hit]:
     """All rules that apply to the sorted triple, in priority order."""
     d1, d2, d3 = d
-    in_sg = d3 in SemigroupPair(d1, d2)
+    dec = SemigroupPair(d1, d2).member(d3)
+    in_sg = dec is not None
     # find_sum_rule succeeds exactly when d1 | d2 or d3 is in <d1, d2>
-    sum_rule = find_sum_rule(d) if d2 % d1 == 0 or in_sg else None
+    sum_rule = find_sum_rule(d, dec) if d2 % d1 == 0 or in_sg else None
     d1_prime = _is_prime(d1)
     hits = [_Hit(code, label, Status.REALIZABLE, sum_rule) for code, label, applies in (
         ("R1", "smallest degree 1", d1 == 1),

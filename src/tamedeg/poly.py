@@ -16,18 +16,22 @@ The text grammar accepts variables ``x1..x9`` or declared aliases such as
 ``+ - * ^`` and parentheses.  Implicit multiplication is forbidden.  Unary
 minus binds looser than ``^`` (``x*-y^2`` is ``-x*y^2``), parentheses and
 unary minus signs nest at most ``MAX_NESTING`` deep, a ``^`` exponent is at
-most ``MAX_EXPONENT``, and a number has at most as many digits as ``int()``
-converts (``sys.get_int_max_str_digits()``).  Canonical printing is
-graded-lexicographic descending with explicit ``*`` and coefficient 1
-suppressed; a coefficient with more digits than that limit cannot be
-printed and raises ``ValueError``.
+most ``MAX_EXPONENT``, a number has at most as many digits as ``int()``
+converts (``sys.get_int_max_str_digits()``), and a power of a parenthesised
+factor or a product of two factors may have at most ``MAX_RING_WORK``
+coefficient bits.
+The tokenizer reads a whole term written without spaces, such as
+``3/4*x^2*y``, as one token, so canonical text costs one token per term.
+Canonical printing is graded-lexicographic descending with explicit ``*``
+and coefficient 1 suppressed; a coefficient with more digits than that
+limit cannot be printed and raises ``ValueError``.
 """
 from __future__ import annotations
 
 import re
 import sys
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import comb, gcd, lcm, prod
 from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
@@ -158,6 +162,10 @@ class Polynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through _make, not the blocked __setattr__
+        return Polynomial._make, (self.n, self.numerators, self.denominator)
 
     @property
     def terms(self) -> Mapping[tuple[int, ...], Fraction]:
@@ -473,13 +481,6 @@ def format_poly(p: Polynomial, varnames: Sequence[str] | None = None) -> str:
     return out
 
 
-# The last group catches any other character, so the matches tile the text
-# up to trailing whitespace.
-NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")  # a variable name
-_TOKEN_RE = re.compile(
-    rf"\s*(?:(\d+/\d+|\d+)|({NAME_RE.pattern})|([-+*^()])|(\S))")
-_KINDS = (None, "num", "name", "op")
-
 # Parentheses and unary minus signs may nest this deep; the parser recurses
 # once per level, so deeper input would exhaust the interpreter's stack.
 MAX_NESTING = 100
@@ -489,31 +490,126 @@ MAX_NESTING = 100
 # cost time and memory out of proportion to the text.
 MAX_EXPONENT = 10_000
 
+# A power of a parenthesised factor, or a product of two factors of a term,
+# may have at most this many coefficient bits summed over its terms (bounded
+# before it is formed).  Without it a short text demands any amount of ring
+# work: (x+y+z)^400 has 80,601 terms, (3^10000)^10000 has 158 million bits,
+# and 400 factors 9^10000 multiply out to 12.7 million bits in 46 s.
+MAX_RING_WORK = 2_000_000
+
 # int() refuses digit strings longer than this many digits (0: no limit).
 # Python releases before 3.10.7 have no limit and no getter.
 _int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
+# Names and digit runs are maximal: the guards stop the regex from
+# backtracking into one, so a term token never ends inside a name, an
+# exponent or a coefficient.  A power inside a term token has an exponent of
+# fewer digits than MAX_EXPONENT, so it needs no limit test; a longer one
+# is read as a name and a ``^`` token.
+NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")  # a variable name
+_NAME = rf"{NAME_RE.pattern}(?![A-Za-z_0-9])"
+_POWER = rf"{_NAME}(?:\^\d{{1,{len(str(MAX_EXPONENT)) - 1}}}(?![\d/]))?"
+# Groups: 1 a term ``c*m`` or ``m`` (2 its coefficient ``c``, 3 its monomial
+# ``m``), never followed by ``^``; 4 a number; 5 a name; 6 ``^`` with 7 the
+# digits of its exponent; 8 an operator; 9 any other character, so the
+# matches tile the text up to trailing whitespace.
+_TOKEN_RE = re.compile(
+    rf"\s*(?:((?:(\d+(?:/\d+)?)\*)?({_POWER}(?:\*{_POWER})*))(?!\s*\^)"
+    rf"|(\d+/\d+|\d+)|({NAME_RE.pattern})|(\^(?:\s*(\d+)(?![\d/]))?)|([-+*()])|(\S))")
+_KINDS = {4: "num", 5: "name", 8: "op"}
+
 
 def _tokenize(text: str):
+    """``(kind, value, position, extra)`` tokens.  A term token's value is
+    its coefficient text (None when it has none) and its extra the monomial
+    text; a ``^`` token's extra is ``(digits, position)`` of its exponent,
+    or None when no digits follow it."""
     tokens = []
+    append = tokens.append
     for m in _TOKEN_RE.finditer(text):
         k = m.lastindex
-        if k == 4:
-            raise ParseError(f"unexpected character {m[4]!r}", m.start())
-        tokens.append((_KINDS[k], m[k], m.start(k)))
-    tokens.append(("end", "", len(text)))
+        if k == 1:
+            append(("term", m[2], m.start(1), m[3]))
+        elif k == 6:
+            digits = m[7]
+            append(("op", "^", m.start(6), None if digits is None else (digits, m.start(7))))
+        elif k == 9:
+            raise ParseError(f"unexpected character {m[9]!r}", m.start())
+        else:
+            append((_KINDS[k], m[k], m.start(k), None))
+    append(("end", "", len(text), None))
     return tokens
+
+
+def _number(val: str, pos: int) -> Scalar:
+    """The value of an integer or ``p/q`` literal."""
+    limit = _int_max_str_digits()
+    if limit and len(val) > limit and any(len(d) > limit for d in val.split("/")):
+        raise ParseError(f"number literal longer than {limit} digits", pos)
+    if "/" in val:
+        num, den = map(int, val.split("/"))
+        if not den:
+            raise ParseError(f"zero denominator in {val!r}", pos)
+        return Fraction(num, den)
+    return int(val)
+
+
+def _bits(c: Scalar) -> int:
+    return c.numerator.bit_length() + c.denominator.bit_length()
+
+
+def _size(p: Polynomial) -> tuple[int, int]:
+    """The term count of ``p`` and a bound on the bits of one coefficient."""
+    return len(p.numerators), (max(v.bit_length() for v in p.numerators.values())
+                               + p.denominator.bit_length())
+
+
+def _check_work(terms: int, bits: int, pos: int) -> None:
+    if terms * bits > MAX_RING_WORK:
+        raise ParseError(f"result may exceed {MAX_RING_WORK} coefficient bits", pos)
+
+
+def _check_product(a: Polynomial, b: Polynomial, pos: int) -> None:
+    """Refuse ``a * b`` when it may exceed MAX_RING_WORK: it has at most
+    min(ta*tb, C(n + deg, n)) terms, each a sum of at most min(ta, tb)
+    products of one coefficient of each."""
+    if a and b:
+        (ta, ba), (tb, bb) = _size(a), _size(b)
+        n = a.n
+        terms = min(ta * tb, comb(n + a.total_degree() + b.total_degree(), n))
+        _check_work(terms, ba + bb + min(ta, tb).bit_length(), pos)
+
+
+def _check_power(p: Polynomial, k: int, pos: int) -> None:
+    """Refuse ``p ** k`` when it may exceed MAX_RING_WORK: for a base of t
+    terms it has at most min(C(n + k*deg, n), C(t + k - 1, k)) terms (the
+    monomials of that degree, the multisets of k base terms), each at most
+    (t * max |coefficient|)^k over the base's denominator^k."""
+    if p and k > 1:
+        t, bits = _size(p)
+        n = p.n
+        terms = min(comb(n + k * p.total_degree(), n), comb(t + k - 1, k))
+        _check_work(terms, k * (bits + t.bit_length()), pos)
 
 
 class _Parser:
     """Recursive descent over ``expr := ['+'|'-'] term (('+'|'-') term)*``,
     ``term := factor ('*' factor)*``, ``factor := '-' factor | atom ['^' int]``
-    and ``atom := number | name | '(' expr ')'``.
+    and ``atom := number | name | '(' expr ')' | termtoken``.
+
+    Canonical text is read a term at a time: a term token is a whole term
+    written without spaces, ``c*m`` or ``m`` with ``m`` a product of
+    variable powers ``v^e`` and ``c`` an integer or ``p/q``.  It is a larger
+    lexeme of the same grammar, a product of factors that no ``^`` follows,
+    so ``factor`` adds its exponents into the term's and returns its
+    coefficient.  A ``^`` token takes the digits of its exponent, so no term
+    token starts inside an exponent: ``2^3*x`` is ``8*x``, not ``2^(3*x)``.
 
     A term of literals and variable powers is built as one monomial, and
     ``expr`` sums the terms' integer numerators with ``_sum``, so canonical
     text parses in time linear in its length.  Only parenthesised factors
-    use ring operations.
+    use ring operations; those, and products of scalar factors, are bounded
+    by MAX_RING_WORK.
     """
 
     def __init__(self, text: str, varnames: Sequence[str]):
@@ -525,7 +621,7 @@ class _Parser:
 
     def expr(self) -> Polynomial:
         items = []
-        kind, val, _ = self.tokens[self.i]
+        kind, val, _, _ = self.tokens[self.i]
         sign = -1 if kind == "op" and val == "-" else 1
         if kind == "op" and val in "+-":
             self.i += 1
@@ -537,7 +633,7 @@ class _Parser:
             else:
                 exps, c = t
                 items.append((exps, sign * c.numerator, c.denominator))
-            kind, val, _ = self.tokens[self.i]
+            kind, val, _, _ = self.tokens[self.i]
             if not (kind == "op" and val in "+-"):
                 return _sum(self.n, items)
             self.i += 1
@@ -549,27 +645,52 @@ class _Parser:
         exps = [0] * self.n
         coeff = 1
         poly = None
+        star = None
         while True:
             f = self.factor(exps)
             if isinstance(f, Polynomial):
-                poly = f if poly is None else poly * f
+                if poly is None:
+                    poly = f
+                else:
+                    _check_product(poly, f, star)
+                    poly = poly * f
+            elif coeff == 1:  # no product formed yet
+                coeff = f
             else:
+                _check_work(1, _bits(coeff) + _bits(f), star)
                 coeff *= f
-            kind, val, pos = self.tokens[self.i]
+            kind, val, pos, _ = self.tokens[self.i]
             if kind == "op" and val == "*":
                 self.i += 1
-            elif kind in ("num", "name") or (kind == "op" and val == "("):
+                star = pos
+            elif kind in ("term", "num", "name") or (kind == "op" and val == "("):
                 raise ParseError("implicit multiplication is not allowed", pos)
             elif poly is None:
                 return tuple(exps), coeff
             else:
-                return poly * Polynomial.monomial(self.n, exps, coeff)
+                monomial = Polynomial.monomial(self.n, exps, coeff)
+                _check_product(poly, monomial, pos)
+                return poly * monomial
 
     def factor(self, exps: list[int]) -> "Scalar | Polynomial":
         """Parse one factor.  Variable powers are added into ``exps``; the
         scalar part is returned, or the Polynomial of a parenthesised one."""
-        kind, val, pos = self.tokens[self.i]
+        kind, val, pos, extra = self.tokens[self.i]
         self.i += 1
+        if kind == "term":
+            coeff = 1 if val is None else _number(val, pos)
+            powers = extra.split("*")
+            for power in powers:
+                name, _, e = power.partition("^")
+                var = self.index.get(name)
+                if var is None:
+                    # the monomial follows the coefficient and its '*'
+                    start = pos if val is None else pos + len(val) + 1
+                    before = powers[:powers.index(power)]
+                    raise ParseError(f"unknown variable {name!r}",
+                                     start + sum(len(b) + 1 for b in before))
+                exps[var] += int(e) if e else 1
+            return coeff
         var = None
         if kind == "op" and val in "(-":
             self.depth += 1
@@ -580,22 +701,13 @@ class _Parser:
                 self.depth -= 1
                 return base
             base = self.expr()
-            kind, val, pos = self.tokens[self.i]
+            kind, val, pos, _ = self.tokens[self.i]
             self.i += 1
             if not (kind == "op" and val == ")"):
                 raise ParseError("expected ')'", pos)
             self.depth -= 1
         elif kind == "num":
-            limit = _int_max_str_digits()
-            if limit and len(val) > limit and any(len(d) > limit for d in val.split("/")):
-                raise ParseError(f"number literal longer than {limit} digits", pos)
-            if "/" in val:
-                num, den = map(int, val.split("/"))
-                if not den:
-                    raise ParseError(f"zero denominator in {val!r}", pos)
-                base = Fraction(num, den)
-            else:
-                base = int(val)
+            base = _number(val, pos)
         elif kind == "name":
             if val not in self.index:
                 raise ParseError(f"unknown variable {val!r}", pos)
@@ -604,17 +716,21 @@ class _Parser:
             raise ParseError(
                 f"unexpected token {val!r}" if val else "unexpected end of input", pos)
         k = 1
-        kind, val, _ = self.tokens[self.i]
+        kind, val, pos, extra = self.tokens[self.i]
         if kind == "op" and val == "^":
-            kind, val, pos = self.tokens[self.i + 1]
-            self.i += 2
-            if kind != "num" or "/" in val:
+            self.i += 1
+            if extra is None:
+                # the '^' took no digits: what follows is no integer
+                pos = self.tokens[self.i][2]
                 raise ParseError("exponent must be a nonnegative integer", pos)
+            digits, pos = extra
             # the length test keeps int() off digit strings it refuses
-            digits = val.lstrip("0") or "0"
+            digits = digits.lstrip("0") or "0"
             if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
                 raise ParseError(f"exponent larger than {MAX_EXPONENT}", pos)
             k = int(digits)
+            if isinstance(base, Polynomial):
+                _check_power(base, k, pos)
         if var is not None:
             exps[var] += k
             return 1
@@ -638,7 +754,7 @@ def parse_poly(text: str, varnames: Sequence[str] | None = None, n: int | None =
         for i in range(len(varnames)):
             parser.index.setdefault(f"x{i + 1}", i)
     result = parser.expr()
-    kind, val, pos = parser.tokens[parser.i]
+    kind, val, pos, _ = parser.tokens[parser.i]
     if kind != "end":
         raise ParseError(f"trailing input {val!r}", pos)
     return result

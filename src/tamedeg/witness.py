@@ -96,14 +96,17 @@ def build_sum_rule(degrees: Sequence[int], index: int, coeffs: Sequence[int]) ->
     return _finish(d, recipe, [head] + tail)
 
 
-def find_sum_rule(degrees: Sequence[int]) -> Optional[WitnessRecipe]:
-    """A sum-rule recipe for a sorted degree triple, if one exists."""
+def find_sum_rule(degrees: Sequence[int],
+                  dec: Optional[tuple[int, int]] = None) -> Optional[WitnessRecipe]:
+    """A sum-rule recipe for a sorted degree triple, if one exists.  ``dec``
+    is the decomposition of d3 in <d1, d2> when the caller has found it."""
     d = tuple(degrees)
     if d[1] % d[0] == 0:
         return WitnessRecipe("sum_rule",
                              {"degrees": list(d), "index": 1,
                               "coeffs": [d[1] // d[0]]})
-    dec = SemigroupPair(d[0], d[1]).member(d[2])
+    if dec is None:
+        dec = SemigroupPair(d[0], d[1]).member(d[2])
     if dec is not None:
         return WitnessRecipe("sum_rule",
                              {"degrees": list(d), "index": 2,

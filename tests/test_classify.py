@@ -152,7 +152,17 @@ class TestStructuralProperties:
         calls = []
         find = classify_module.find_sum_rule
         monkeypatch.setattr(classify_module, "find_sum_rule",
-                            lambda d: calls.append(d) or find(d))
+                            lambda *args: calls.append(args) or find(*args))
         for c in enumerate_classifications(30):
             assert len(calls) <= 1, (c.sorted_mdeg, calls)
+            calls.clear()
+
+    def test_one_membership_query_per_triple(self, monkeypatch):
+        # the decomposition found for the semigroup test is the recipe's
+        calls = []
+        member = SemigroupPair.member
+        monkeypatch.setattr(SemigroupPair, "member",
+                            lambda pair, k: calls.append(k) or member(pair, k))
+        for c in enumerate_classifications(30):
+            assert len(calls) == 1, (c.sorted_mdeg, calls)
             calls.clear()

@@ -1,8 +1,10 @@
 """Differential tests of the text parser.
 
 Random expression trees are rendered to text and parsed; the oracle
-evaluates the same tree with Polynomial ring operations.  Canonical text
-from ``format_poly`` must parse back to the polynomial it came from.
+evaluates the same tree with Polynomial ring operations, and the parser
+that read one token per number, name and operator (``test_token_oracle``)
+must give the same stored form.  Canonical text from ``format_poly`` must
+parse back to the polynomial it came from.
 """
 from fractions import Fraction
 from itertools import product
@@ -14,6 +16,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from tamedeg.poly import Polynomial, default_varnames, format_poly, parse_poly  # noqa: E402
+from test_token_oracle import assert_same  # noqa: E402
 
 # Grammar levels a rendered text fits in, loosest first: an expr may carry
 # a leading sign and binary + or -, a term is a product, a factor is a
@@ -107,6 +110,7 @@ def test_parse_matches_ring_operations(case):
     parsed = parse_poly(text, n=n)
     assert parsed.terms == evaluate(tree, n).terms, text
     assert all(type(c) is Fraction for c in parsed.terms.values())
+    assert_same(text, n=n)
 
 
 coefficients = st.one_of(

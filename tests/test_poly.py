@@ -1,5 +1,8 @@
+import copy
+import pickle
 import random
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -7,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tamedeg.poly import (MAX_EXPONENT, NEG_INF, DimensionMismatch, ParseError,
-                          Polynomial, format_poly, parse_poly)
+from tamedeg.poly import (MAX_EXPONENT, MAX_RING_WORK, NEG_INF, DimensionMismatch,
+                          ParseError, Polynomial, format_poly, parse_poly)
 
 
 _INT_DIGITS = sys.get_int_max_str_digits()
@@ -235,6 +238,53 @@ class TestParsePrint:
         with pytest.raises(ParseError, match=r"^exponent larger than 10000 \(at position 2\)$"):
             parse_poly("x^" + "9" * 5000, n=1)
         assert parse_poly("x^" + "0" * 5000 + "7", n=1) == Polynomial.monomial(1, (7,))
+
+    @pytest.mark.parametrize("text, position", [
+        ("(x+y)^2000", 6),
+        ("(x+y)^5000", 6),
+        ("(x+y+z)^200", 8),
+        ("(x+y+z)^400", 8),
+        ("(3^10000)^1000", 10),
+        ("(3^10000)^10000", 10),
+        # each power is within the bound, their product is not
+        ("(x+y+z)^30*(x+y+z)^30", 10),
+        ("(x+y+z)^100*(x+y+z)^100", 8),
+        # the product with the term's scalar part, checked where the term ends
+        ("(x+y)^100*" + "*".join(["9^10000"] * 10), 89),
+    ])
+    def test_ring_work_limit(self, text, position):
+        start = time.process_time()
+        with pytest.raises(ParseError) as info:
+            parse_poly(text, n=3)
+        assert time.process_time() - start < 0.1
+        assert str(info.value) == (f"result may exceed {MAX_RING_WORK} coefficient bits "
+                                   f"(at position {position})")
+
+    def test_ring_work_limit_on_scalar_products(self):
+        # 400 such factors took 46 s: each product costs the bits so far
+        with pytest.raises(ParseError) as info:
+            parse_poly("*".join(["9^10000"] * 100), n=1)
+        assert info.value.position == 63 * len("9^10000*") - 1  # the 64th '*'
+        assert parse_poly("*".join(["9^10000"] * 10), n=1) == \
+            Polynomial.constant(1, 9 ** 100_000)
+
+    def test_ring_work_limit_keeps_smaller_powers(self):
+        assert MAX_RING_WORK == 2_000_000
+        assert len(parse_poly("(x+y)^500", n=2).numerators) == 501
+        assert len(parse_poly("(x+y+z)^20*(x+y+z)^20", n=3).numerators) == 861
+        assert parse_poly("(3^10000)^100", n=1) == Polynomial.constant(1, 3 ** 1_000_000)
+        big = parse_poly("10^1000*(x + 10^3000*y^2)^2", n=2)
+        assert big == Polynomial(2, {(2, 0): 10 ** 1000, (1, 2): 2 * 10 ** 4000,
+                                     (0, 4): 10 ** 7000})
+
+    @pytest.mark.parametrize("text", ["x^2 + 3*y - 7", "1/2*x*y - 2/3", "0"])
+    def test_copy_and_pickle(self, text):
+        f = p(text)
+        for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert type(g) is Polynomial and g == f and g.n == f.n
+            assert g.numerators == f.numerators and g.denominator == f.denominator
+            with pytest.raises(AttributeError):
+                g.n = 2
 
     def test_canonical_text_parses_without_ring_products(self, monkeypatch):
         rng = random.Random(5)
