@@ -9,17 +9,22 @@ runs on ints; ``terms``, the map from exponent tuples to normalised
 Fractions, is built on first read for callers that want Fractions.  The zero
 polynomial has total degree ``NEG_INF`` (a float -inf sentinel, comparable
 with ints).  Products pack each exponent tuple into one int, so a term pair
-costs one int add and one int multiply-add.
+costs one int add and one int multiply-add.  Packed keys add without
+carries, so when the largest product key is below the number of term pairs
+the products are summed into a list indexed by the key, which is then no
+longer than the pairs; otherwise into a dict.
 
 The text grammar accepts variables ``x1..x9`` or declared aliases such as
 ``x, y, z``; integer and ``p/q`` rational literals (``q`` nonzero); operators
 ``+ - * ^`` and parentheses.  Implicit multiplication is forbidden.  Unary
 minus binds looser than ``^`` (``x*-y^2`` is ``-x*y^2``), parentheses and
-unary minus signs nest at most ``MAX_NESTING`` deep, a ``^`` exponent is at
-most ``MAX_EXPONENT``, a number has at most as many digits as ``int()``
-converts (``sys.get_int_max_str_digits()``), and a power of a parenthesised
-factor or a product of two factors may have at most ``MAX_RING_WORK``
-coefficient bits.
+unary minus signs nest at most ``MAX_NESTING`` deep, a ``^`` exponent and
+the exponent of each variable in a term, in a power of a parenthesised
+factor and in a product of two factors are at most ``MAX_EXPONENT`` (checked
+before the term, power or product is formed), a number has at most as many
+digits as ``int()`` converts (``sys.get_int_max_str_digits()``), and a power
+of a parenthesised factor or a product of two factors may have at most
+``MAX_RING_WORK`` coefficient bits.
 The tokenizer reads a whole term written without spaces, such as
 ``3/4*x^2*y``, as one token, so canonical text costs one token per term.
 Canonical printing is graded-lexicographic descending with explicit ``*``
@@ -32,7 +37,7 @@ import re
 import sys
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
-from operator import mul
+from operator import add, mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -79,10 +84,24 @@ def _unpack(packed: dict[int, int], shifts: tuple[int, ...], mask: int) -> dict:
 
 
 def _mul_packed(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """The product of two packed integer polynomials, zero terms dropped."""
+    """The product of two packed integer polynomials, zero terms dropped.
+
+    Keys add without carries, so a product key indexes a list directly.
+    When the largest product key is below the number of term pairs, the
+    terms are summed into a list of that length, which is then no longer
+    than the pairs it holds; otherwise into a dict."""
+    if not a or not b:
+        return {}
     if len(a) > len(b):
         a, b = b, a
     pairs = list(b.items())
+    top = max(a) + max(b) + 1
+    if top <= len(a) * len(b):
+        dense = [0] * top
+        for ea, ca in a.items():
+            for eb, cb in pairs:
+                dense[ea + eb] += ca * cb
+        return {k: v for k, v in enumerate(dense) if v}
     out: dict[int, int] = {}
     get = out.get
     for ea, ca in a.items():
@@ -341,7 +360,9 @@ class Polynomial:
         return Polynomial._make(self.n, out, self.denominator)
 
     def substitute(self, args: Sequence["Polynomial"]) -> "Polynomial":
-        """Evaluate at args: the image of self under x_i -> args[i]."""
+        """Evaluate at args: the image of self under x_i -> args[i].  Only
+        the arguments whose variable occurs in self are packed and powered,
+        and self = x_i returns args[i] itself."""
         if len(args) != self.n:
             raise DimensionMismatch(
                 f"expected {self.n} substitution arguments, got {len(args)}")
@@ -354,24 +375,32 @@ class Polynomial:
         terms = self.numerators
         if not terms:
             return Polynomial.zero(m)
+        if len(terms) == 1 and self.denominator == 1:
+            ((exps, c),) = terms.items()
+            if c == 1 and sum(exps) == 1:
+                return args[exps.index(1)]  # immutable, so safe to share
+        # The nonzero exponents of each variable in self; a variable with
+        # none has no packed form and no powers.
+        columns = [set(column) - {0} for column in zip(*terms)]
         # Every product below is a factor of some monomial's image, so no
         # exponent exceeds sum_i e_i * top_i, top_i the largest exponent in
         # args[i]: fields of that width never carry.
-        tops = [max(map(max, a.numerators), default=0) if m else 0 for a in args]
+        tops = [max(map(max, a.numerators), default=0) if m and wanted else 0
+                for a, wanted in zip(args, columns)]
         width = max(sum(map(mul, exps, tops)) for exps in terms).bit_length()
         shifts, mask = _layout(m, width)
         # Powers of each argument, built one multiply apart up to the largest
         # exponent that occurs; only the exponents some monomial uses are kept.
-        columns = [set(column) for column in zip(*terms)]
         powers: list[dict[int, dict[int, int]]] = []
         for a, wanted in zip(args, columns):
-            base = _pack(a.numerators, shifts)
-            row, power = {}, base
-            for e in range(1, max(wanted) + 1):
-                if e > 1:
-                    power = _mul_packed(power, base)
-                if e in wanted:
-                    row[e] = power
+            row = {}
+            if wanted:
+                base = power = _pack(a.numerators, shifts)
+                for e in range(1, max(wanted) + 1):
+                    if e > 1:
+                        power = _mul_packed(power, base)
+                    if e in wanted:
+                        row[e] = power
             powers.append(row)
         # The sum is taken over the common denominator den * prod_i d_i^E_i,
         # with d_i the denominator of args[i] and E_i the largest exponent of
@@ -379,7 +408,8 @@ class Polynomial:
         # the numerators of its image.  Each monomial multiplies only the
         # powers it needs.
         rational = [(i, a.denominator, max(wanted))
-                    for i, (a, wanted) in enumerate(zip(args, columns)) if a.denominator != 1]
+                    for i, (a, wanted) in enumerate(zip(args, columns))
+                    if wanted and a.denominator != 1]
         one = ((0, 1),)
         acc: dict[int, int] = {}
         get = acc.get
@@ -485,9 +515,11 @@ def format_poly(p: Polynomial, varnames: Sequence[str] | None = None) -> str:
 # once per level, so deeper input would exhaust the interpreter's stack.
 MAX_NESTING = 100
 
-# A ``^`` exponent may be at most this large.  Larger ones would make parsing
-# and ``substitute``, which builds every power up to the largest exponent,
-# cost time and memory out of proportion to the text.
+# A ``^`` exponent may be at most this large, and so may the exponent of a
+# variable in a term, a power or a product, checked before it is formed.
+# Larger ones would make parsing, ``substitute`` and ``peel``, which build
+# every power up to the largest exponent, cost time and memory out of
+# proportion to the text: ``(y^10000)^30`` is y^300000.
 MAX_EXPONENT = 10_000
 
 # A power of a parenthesised factor, or a product of two factors of a term,
@@ -569,11 +601,24 @@ def _check_work(terms: int, bits: int, pos: int) -> None:
         raise ParseError(f"result may exceed {MAX_RING_WORK} coefficient bits", pos)
 
 
+def _exponent_error(pos: int) -> ParseError:
+    return ParseError(f"exponent of a variable would exceed {MAX_EXPONENT}", pos)
+
+
+def _tops(p: Polynomial) -> list[int]:
+    """The largest exponent of each variable in ``p``."""
+    return [max(column) for column in zip(*p.numerators)]
+
+
 def _check_product(a: Polynomial, b: Polynomial, pos: int) -> None:
-    """Refuse ``a * b`` when it may exceed MAX_RING_WORK: it has at most
-    min(ta*tb, C(n + deg, n)) terms, each a sum of at most min(ta, tb)
-    products of one coefficient of each."""
+    """Refuse ``a * b`` when a variable's exponent in it exceeds
+    MAX_EXPONENT (its degree in each variable is the sum of theirs), or when
+    it may exceed MAX_RING_WORK: it has at most min(ta*tb, C(n + deg, n))
+    terms, each a sum of at most min(ta, tb) products of one coefficient of
+    each."""
     if a and b:
+        if max(map(add, _tops(a), _tops(b)), default=0) > MAX_EXPONENT:
+            raise _exponent_error(pos)
         (ta, ba), (tb, bb) = _size(a), _size(b)
         n = a.n
         terms = min(ta * tb, comb(n + a.total_degree() + b.total_degree(), n))
@@ -581,11 +626,14 @@ def _check_product(a: Polynomial, b: Polynomial, pos: int) -> None:
 
 
 def _check_power(p: Polynomial, k: int, pos: int) -> None:
-    """Refuse ``p ** k`` when it may exceed MAX_RING_WORK: for a base of t
+    """Refuse ``p ** k`` when a variable's exponent in it exceeds
+    MAX_EXPONENT, or when it may exceed MAX_RING_WORK: for a base of t
     terms it has at most min(C(n + k*deg, n), C(t + k - 1, k)) terms (the
     monomials of that degree, the multisets of k base terms), each at most
     (t * max |coefficient|)^k over the base's denominator^k."""
     if p and k > 1:
+        if k * max(_tops(p), default=0) > MAX_EXPONENT:
+            raise _exponent_error(pos)
         t, bits = _size(p)
         n = p.n
         terms = min(comb(n + k * p.total_degree(), n), comb(t + k - 1, k))
@@ -609,7 +657,11 @@ class _Parser:
     ``expr`` sums the terms' integer numerators with ``_sum``, so canonical
     text parses in time linear in its length.  Only parenthesised factors
     use ring operations; those, and products of scalar factors, are bounded
-    by MAX_RING_WORK.
+    by MAX_RING_WORK.  A variable's exponent is refused past MAX_EXPONENT
+    where it grows: at the variable when its power is added into the term,
+    at the exponent of a power of a parenthesised factor, at the ``*`` of a
+    product of two factors, and at the token after a term whose
+    parenthesised factor meets its monomial.
     """
 
     def __init__(self, text: str, varnames: Sequence[str]):
@@ -679,17 +731,18 @@ class _Parser:
         self.i += 1
         if kind == "term":
             coeff = 1 if val is None else _number(val, pos)
-            powers = extra.split("*")
-            for power in powers:
+            # the monomial follows the coefficient and its '*'
+            start = pos if val is None else pos + len(val) + 1
+            for power in extra.split("*"):
                 name, _, e = power.partition("^")
                 var = self.index.get(name)
                 if var is None:
-                    # the monomial follows the coefficient and its '*'
-                    start = pos if val is None else pos + len(val) + 1
-                    before = powers[:powers.index(power)]
-                    raise ParseError(f"unknown variable {name!r}",
-                                     start + sum(len(b) + 1 for b in before))
-                exps[var] += int(e) if e else 1
+                    raise ParseError(f"unknown variable {name!r}", start)
+                e = exps[var] + (int(e) if e else 1)
+                if e > MAX_EXPONENT:
+                    raise _exponent_error(start)
+                exps[var] = e
+                start += len(power) + 1
             return coeff
         var = None
         if kind == "op" and val in "(-":
@@ -711,7 +764,7 @@ class _Parser:
         elif kind == "name":
             if val not in self.index:
                 raise ParseError(f"unknown variable {val!r}", pos)
-            var, base = self.index[val], 1
+            var, base, var_pos = self.index[val], 1, pos
         else:
             raise ParseError(
                 f"unexpected token {val!r}" if val else "unexpected end of input", pos)
@@ -733,6 +786,8 @@ class _Parser:
                 _check_power(base, k, pos)
         if var is not None:
             exps[var] += k
+            if exps[var] > MAX_EXPONENT:
+                raise _exponent_error(var_pos)
             return 1
         return base if k == 1 else base ** k
 

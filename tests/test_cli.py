@@ -100,6 +100,13 @@ class TestDecide:
         assert code == 0 and out.startswith(f"(1, 1, {big}): Realizable")
         assert run(capsys, "decide", "1", "1", str(MAX_EXPONENT), "--witness")[0] == 0
 
+    def test_witness_at_max_exponent_verifies(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "decide", "1", "1", str(MAX_EXPONENT), "--witness", "--json")
+        assert code == 0
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(json.loads(out)["witness"]))
+        assert run(capsys, "verify", str(path)) == (0, "OK\n", "")
+
     def test_degree_beyond_proven_primality_rejected(self, capsys):
         code, out, err = run(capsys, "decide", "5", "7", str(PRIME_TEST_BOUND))
         assert code == EXIT_USAGE
@@ -413,6 +420,9 @@ class TestUsage:
         (["reduce", "--target", "1", "--map"],
          {"n": 3, "components": ["x", "y", "z + 2/0*x"]}),
         (["analyze2", "--map"], {"n": 2, "components": ["x + y^1000000", "y"]}),
+        # each '^' is within MAX_EXPONENT, the exponents they give y are not
+        (["analyze2", "--decompose", "--map"], {"n": 2, "components": ["x + (y^10000)^30", "y"]}),
+        (["analyze2", "--decompose", "--map"], {"n": 2, "components": ["x + y^10000*y", "y"]}),
         (["verify"], {"target": [1, 1, 10001], "recipe": None, "factors": [
             {"n": 3, "components": ["x", "y", "z + x^10001"]}]}),
         (["analyze2", "--map"], {"n": 2, "components": ["x + " + "9" * 5000 + "*y^2", "y"]}),

@@ -1,14 +1,21 @@
 """Differential tests of the product kernel and the map operations on it.
 
-A ``Polynomial`` holds integer numerators over one denominator;
-``__mul__`` multiplies packed integer keys and ``substitute`` sums scaled
-products of packed powers into one dict.  Both, and every other ring
-operation, are checked against ``Fraction`` oracles on exponent tuples:
-every coefficient read through ``terms`` must be a nonzero, normalised
-``Fraction``, and the stored form must be in lowest terms.
+A ``Polynomial`` holds integer numerators over one denominator.
+``__mul__`` packs each exponent tuple into one int key and multiplies the
+packed operands; ``substitute`` packs and powers only the arguments whose
+variable occurs and sums scaled products of those powers into one dict.
+Packed keys add without carries, so the product kernel sums into a list
+indexed by the key when the largest product key is below the number of
+term pairs (the list is then no longer than the pairs), and into a dict
+otherwise.  Both sides of that rule, and every other ring operation, are
+checked against ``Fraction`` oracles on exponent tuples: every coefficient
+read through ``terms`` must be a nonzero, normalised ``Fraction``, and the
+stored form must be in lowest terms.  Every exponent packed must fit the
+field width of its layout.
 ``PolyMap.compose`` and ``PolyMap.jacobian_determinant`` are checked
 against sympy.
 """
+import contextlib
 import itertools
 from fractions import Fraction
 from math import gcd, prod
@@ -19,8 +26,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from tamedeg.maps import PolyMap  # noqa: E402
-from tamedeg.poly import Polynomial  # noqa: E402
+from tamedeg import poly  # noqa: E402
+from tamedeg.maps import PolyMap, elementary  # noqa: E402
+from tamedeg.plane import peel  # noqa: E402
+from tamedeg.poly import Polynomial, _layout, _pack, parse_poly  # noqa: E402
 
 coefficients = st.one_of(
     st.integers(-5, 5),
@@ -117,6 +126,193 @@ def test_substitute_cancels_to_zero(c):
         assert_clean(f.substitute([s * s, s]), {})
     args = [t * t, t + Fraction(1, 3)]
     assert_clean(f.substitute(args), oracle_substitute(f, args))
+
+
+# ---------------------------------------------------------------------------
+# both sides of the list/dict rule of the product kernel
+# ---------------------------------------------------------------------------
+
+def sums_into_list(a, b):
+    """Whether ``a * b`` sums into a list: its largest packed product key
+    is below the number of term pairs."""
+    width = (max(map(max, a.numerators)) + max(map(max, b.numerators))).bit_length()
+    shifts, _ = _layout(a.n, width)
+    ka, kb = _pack(a.numerators, shifts), _pack(b.numerators, shifts)
+    return max(ka) + max(kb) + 1 <= len(ka) * len(kb)
+
+
+def dense_coefficient(rng, kind):
+    if kind == "int":
+        return rng.randint(-9, 9)
+    if kind == "multiword":
+        return rng.randint(-10 ** 40, 10 ** 40)
+    return Fraction(rng.randint(-10 ** 6, 10 ** 6), rng.randint(1, 10 ** 4))
+
+
+@st.composite
+def dense_bivariate(draw):
+    """Operands in two variables with most monomials of total degree at
+    most d present, d in 5..30, and integer, multi-word or rational
+    coefficients."""
+    d = draw(st.integers(5, 30))
+    kind = draw(st.sampled_from(["int", "multiword", "rational"]))
+    rng = draw(st.randoms(use_true_random=False))
+    density = rng.choice([0.5, 0.8, 1.0])
+    return Polynomial(2, {(i, j): dense_coefficient(rng, kind)
+                          for i in range(d + 1) for j in range(d + 1 - i)
+                          if rng.random() < density})
+
+
+@settings(max_examples=25, deadline=None)
+@given(dense_bivariate(), dense_bivariate())
+def test_dense_bivariate_products(a, b):
+    assert_clean(a * b, oracle_mul(a, b))
+    # the cross terms of (a + b)(a - b) cancel to zero inside the list
+    assert_clean((a + b) * (a - b), oracle_mul(a + b, a - b))
+
+
+@settings(max_examples=15, deadline=None)
+@given(dense_bivariate(), dense_bivariate(),
+       st.sampled_from([{(1, 1): 1}, {(2, 0): Fraction(-1, 2), (0, 1): 3},
+                        {(1, 1): 2, (0, 2): -1, (1, 0): Fraction(5, 7)}]))
+def test_dense_bivariate_substitution(a, b, terms):
+    f = Polynomial(2, terms)
+    assert_clean(f.substitute([a, b]), oracle_substitute(f, [a, b]))
+
+
+sparse_wide = st.dictionaries(
+    st.tuples(*[st.sampled_from([0, 1, 2 ** 21 + 3, 2 ** 22])] * 2), coefficients,
+    min_size=1, max_size=6).map(lambda terms: Polynomial(2, terms))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dense_bivariate(), sparse_wide)
+def test_dense_times_sparse_past_two_to_the_21(a, sparse):
+    # exponents past 2^21 widen every field, so the product sums into a dict
+    assert_clean(a * sparse, oracle_mul(a, sparse))
+    f = Polynomial(2, {(1, 1): 1, (0, 2): Fraction(-1, 3)})
+    assert_clean(f.substitute([a, sparse]), oracle_substitute(f, [a, sparse]))
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 40])
+def test_cancellation_inside_the_list(k):
+    # (1 - x)(1 + x + ... + x^k) = 1 - x^(k+1): every middle entry is zero
+    x = Polynomial.variable(1, 0)
+    geometric = sum((x ** i for i in range(k + 1)), Polynomial.zero(1))
+    a = 1 - x
+    assert sums_into_list(a, geometric)
+    assert_clean(a * geometric, oracle_mul(a, geometric))
+    assert (a * geometric).numerators == {(0,): 1, (k + 1,): -1}
+
+
+def straddling_pairs():
+    """Univariate and bivariate operand pairs whose largest product key lies
+    just below, at and just above the number of term pairs."""
+    pairs = []
+    for p in range(1, 7):
+        for q in range(1, 7):
+            a = Polynomial(1, {(i,): 3 * i - 7 for i in range(p)}) + Polynomial.monomial(
+                1, (p - 1,), 1 + p)
+            for delta in (-1, 0, 1):
+                # top = (p - 1) + M + 1 = p*q + delta
+                m = p * q + delta - p
+                if m < q - 1:
+                    continue
+                exps = sorted({0, m} | set(range(1, q - 1)))
+                b = Polynomial(1, {(e,): Fraction(2 * e + 1, e + 2) for e in exps})
+                pairs.append((a, b))
+    x, y = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
+    for p in range(1, 6):
+        for extra in range(0, 40, 3):
+            a = sum((x ** i * y ** (p - 1 - i) for i in range(p)), Polynomial.zero(2))
+            b = sum((x ** i for i in range(extra + 1)), y * 5 - 2)
+            pairs.append((a, b))
+            pairs.append((a + x ** (extra + 1), b * b))
+    return pairs
+
+
+def test_straddling_sweep():
+    pairs = straddling_pairs()
+    sides = [sums_into_list(a, b) for a, b in pairs]
+    assert any(sides) and not all(sides)
+    # univariate keys are the exponents: the top key minus the pairs
+    assert {-1, 0, 1} <= {max(a.numerators)[0] + max(b.numerators)[0] + 1
+                          - len(a.numerators) * len(b.numerators)
+                          for a, b in pairs if a.n == 1}
+    f = Polynomial(2, {(1, 1): Fraction(-2, 3), (1, 0): 1})
+    for a, b in pairs:
+        assert_clean(a * b, oracle_mul(a, b))
+        assert_clean(f.substitute([a, b]), oracle_substitute(f, [a, b]))
+
+
+# ---------------------------------------------------------------------------
+# no variables, and exponents that fit their packed fields
+# ---------------------------------------------------------------------------
+
+def test_products_in_no_variables():
+    three, five = Polynomial.constant(0, 3), Polynomial.constant(0, 5)
+    assert three * five == Polynomial.constant(0, 15)
+    assert (three * five).numerators == {(): 15}
+    assert three * Polynomial.constant(0, Fraction(-1, 3)) == Polynomial.constant(0, -1)
+    assert (three * Polynomial.constant(0, 0)).numerators == {}
+    assert three ** 3 == Polynomial.constant(0, 27)
+
+
+def test_substitute_into_no_variables():
+    f = Polynomial(2, {(2, 1): 1, (0, 0): 3, (1, 0): Fraction(1, 2)})
+    args = [Polynomial.constant(0, 2), Polynomial.constant(0, Fraction(1, 3))]
+    assert f.substitute(args) == Polynomial.constant(0, Fraction(4, 3) + 3 + 1)
+    assert Polynomial.variable(2, 1).substitute(args) is args[1]
+    assert Polynomial.zero(2).substitute(args) == Polynomial.zero(0)
+
+
+@contextlib.contextmanager
+def fields_checked():
+    """Every exponent that ``_pack`` packs is below ``1 << width`` for the
+    width of the last layout made, so no field carries into the next."""
+    widths = []
+
+    def layout(n, width):
+        widths.append(width)
+        return _layout(n, width)
+
+    def pack(numerators, shifts):
+        limit = 1 << widths[-1]
+        assert all(e < limit for exps in numerators for e in exps), (
+            dict(numerators), widths[-1])
+        return _pack(numerators, shifts)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "_layout", layout)
+        mp.setattr(poly, "_pack", pack)
+        yield widths
+
+
+def test_fields_fit_in_compose_and_inverse():
+    f = elementary(2, 0, parse_poly("2*y^2", n=2))
+    with fields_checked() as widths:
+        assert f.map.compose(f.inverse) == PolyMap((Polynomial.variable(2, 0),
+                                                    Polynomial.variable(2, 1)))
+        g = PolyMap.from_json({"n": 2, "components": [
+            "x + 3*y^2 - 1/2*y^5", "y + (x + 3*y^2 - 1/2*y^5)^3 - 2*(x + 3*y^2 - 1/2*y^5) + 1"]})
+        dec = peel(g)
+        assert g.compose(dec.inverse_map()) == PolyMap((Polynomial.variable(2, 0),
+                                                        Polynomial.variable(2, 1)))
+    assert widths
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.integers(1, 4).flatmap(
+    lambda m: st.tuples(
+        polynomials(n), polynomials(n),
+        st.dictionaries(monomial_exponents(n), coefficients, max_size=5),
+        st.lists(polynomials(m, 3), min_size=n, max_size=n)))))
+def test_fields_fit_in_kernel_cases(data):
+    a, b, terms, args = data
+    with fields_checked():
+        assert_clean(a * b, oracle_mul(a, b))
+        f = Polynomial(len(args), terms)
+        assert_clean(f.substitute(args), oracle_substitute(f, args))
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,27 @@ class TestStructure:
         assert f.substitute(args) == expected
         assert constant_operands == []
 
+    def test_substitute_of_a_variable_is_its_argument(self):
+        args = [p("x + y^2", n=2), p("1/2*y", n=2), p("3", n=2)]
+        for i in range(3):
+            assert Polynomial.variable(3, i).substitute(args) is args[i]
+        # a coefficient or a denominator other than 1 is no identity component
+        assert p("2*y").substitute(args) == p("y", n=2)
+        assert p("1/2*y").substitute(args) == p("1/4*y", n=2)
+
+    def test_substitute_packs_only_occurring_variables(self, monkeypatch):
+        from tamedeg import poly
+        packed = []
+        original = poly._pack
+
+        def pack(numerators, shifts):
+            packed.append(dict(numerators))
+            return original(numerators, shifts)
+        monkeypatch.setattr(poly, "_pack", pack)
+        args = [p("x^7 - 2*y^9", n=2), p("x + y", n=2), p("y^30 + 1", n=2)]
+        assert p("y^2 - 1").substitute(args) == p("x^2 + 2*x*y + y^2 - 1", n=2)
+        assert packed == [args[1].numerators]
+
     def test_substitute_keeps_only_used_powers(self):
         # y^400 at y + z^3 needs only the 400th power; holding every power
         # up to it takes memory cubic in the exponent (about 19 MB here)
@@ -238,6 +259,34 @@ class TestParsePrint:
         with pytest.raises(ParseError, match=r"^exponent larger than 10000 \(at position 2\)$"):
             parse_poly("x^" + "9" * 5000, n=1)
         assert parse_poly("x^" + "0" * 5000 + "7", n=1) == Polynomial.monomial(1, (7,))
+
+    @pytest.mark.parametrize("text, position", [
+        ("(y^10000)^30", 10),  # a power of a parenthesised factor
+        ("(x*y^5000)^3", 11),
+        ("y^10000*y", 8),  # exponents added inside a term
+        ("x + y^9999*x*y^2", 13),  # inside one term token
+        ("2*y^7000*x*y^4000", 11),
+        ("(y^6000 + 1)*(y^6000 + 1)", 12),  # a product of two factors
+        ("(y^5000)*y^5001", 15),  # a term's factor and its monomial
+    ])
+    def test_variable_exponent_limit(self, text, position):
+        start = time.process_time()
+        with pytest.raises(ParseError) as info:
+            parse_poly(text, n=2)
+        assert time.process_time() - start < 0.1
+        assert str(info.value) == (f"exponent of a variable would exceed {MAX_EXPONENT} "
+                                   f"(at position {position})")
+
+    @pytest.mark.parametrize("text, exps", [
+        ("x + y^10000", (0, 10000)),
+        ("y^5000*y^5000", (0, 10000)),
+        ("(y^5000)^2", (0, 10000)),
+        ("x^10000*y^10000", (10000, 10000)),
+        ("(y^5000 + 1)*(y^5000 - 1)", (0, 10000)),
+        ("(x*y^2500)^2*y^5000", (2, 10000)),
+    ])
+    def test_variable_exponent_at_limit(self, text, exps):
+        assert max(parse_poly(text, n=2).numerators, key=sum) == exps
 
     @pytest.mark.parametrize("text, position", [
         ("(x+y)^2000", 6),

@@ -3,10 +3,14 @@ it replaced.
 
 ``poly._tokenize`` reads a whole term written without spaces as one token,
 and a ``^`` together with the digits of its exponent.  The reference below
-is the earlier tokenizer and parser, copied unchanged: one token per number,
-name and operator, and one ``factor`` call per token.  It needs no edits to
-run against the present module; it imports the limits, the ``ParseError``
-class and ``_sum`` from it.
+is the earlier tokenizer and parser: one token per number, name and
+operator, and one ``factor`` call per token.  It imports the limits, the
+``ParseError`` class and ``_sum`` from the present module, and it refuses a
+variable's exponent above ``MAX_EXPONENT`` at the same points as
+``parse_poly``: where a variable power is added into a term (at the
+variable's name), where two factors of a term are multiplied (at the
+``*``), where a term with a parenthesised factor ends (at the next token)
+and where a parenthesised factor is raised to a power (at the exponent).
 
 On every text both must give an equal Polynomial (equal ``numerators`` and
 ``denominator``) or raise ``ParseError`` with the same message and position.
@@ -43,6 +47,13 @@ def _tokenize(text: str):
         tokens.append((_KINDS[k], m[k], m.start(k)))
     tokens.append(("end", "", len(text)))
     return tokens
+
+
+def bounded(p: Polynomial, pos: int) -> Polynomial:
+    """``p``, unless a variable's exponent in it exceeds MAX_EXPONENT."""
+    if any(e > MAX_EXPONENT for exps in p.numerators for e in exps):
+        raise ParseError(f"exponent of a variable would exceed {MAX_EXPONENT}", pos)
+    return p
 
 
 class _Parser:
@@ -89,21 +100,23 @@ class _Parser:
         exps = [0] * self.n
         coeff = 1
         poly = None
+        star = None
         while True:
             f = self.factor(exps)
             if isinstance(f, Polynomial):
-                poly = f if poly is None else poly * f
+                poly = f if poly is None else bounded(poly * f, star)
             else:
                 coeff *= f
             kind, val, pos = self.tokens[self.i]
             if kind == "op" and val == "*":
                 self.i += 1
+                star = pos
             elif kind in ("num", "name") or (kind == "op" and val == "("):
                 raise ParseError("implicit multiplication is not allowed", pos)
             elif poly is None:
                 return tuple(exps), coeff
             else:
-                return poly * Polynomial.monomial(self.n, exps, coeff)
+                return bounded(poly * Polynomial.monomial(self.n, exps, coeff), pos)
 
     def factor(self, exps: list[int]) -> "Scalar | Polynomial":
         """Parse one factor.  Variable powers are added into ``exps``; the
@@ -139,7 +152,7 @@ class _Parser:
         elif kind == "name":
             if val not in self.index:
                 raise ParseError(f"unknown variable {val!r}", pos)
-            var, base = self.index[val], 1
+            var, base, var_pos = self.index[val], 1, pos
         else:
             raise ParseError(
                 f"unexpected token {val!r}" if val else "unexpected end of input", pos)
@@ -157,7 +170,12 @@ class _Parser:
             k = int(digits)
         if var is not None:
             exps[var] += k
+            if exps[var] > MAX_EXPONENT:
+                raise ParseError(f"exponent of a variable would exceed {MAX_EXPONENT}",
+                                 var_pos)
             return 1
+        if isinstance(base, Polynomial) and k > 1:
+            return bounded(base ** k, pos)
         return base if k == 1 else base ** k
 
 
