@@ -26,6 +26,8 @@ GOLDEN = {
         "d6b570ec83a684f368db40733ed8bd22f1e81b3c7bb50d0f4a86ab9324a67d47",
     "semigroup_enumerate":
         "ed4fb53d203dea981812b093f15e75220ff25fe8ee265f2210be02d3f9afe345",
+    "text":
+        "b15e26879a3b79c7bf549fb6dc0e077de9944f79c76b2d49960014cc29d47ebd",
 }
 
 
@@ -82,11 +84,38 @@ def _semigroup_enumerate(run):
     run("enumerate", "--max", "6", "--format", "json")
 
 
+def _text(run):
+    # the output without --json: every text branch of every subcommand
+    for s in range(6):
+        m = random_plane_chain(random.Random(s))[0]
+        run("analyze2", "--map", _write("m.json", m.to_json()),
+            "--decompose", "--inverse")
+    x = Polynomial.variable(2, 0)
+    rejected = PolyMap(tuple(c + x for c in m.components))
+    run("analyze2", "--map", _write("m.json", rejected.to_json()),
+        "--decompose", "--inverse")
+    for degrees in (("2", "3", "5"), ("4", "6", "13"), ("5", "7", "24"),
+                    ("3", "5", "7")):
+        run("decide", *degrees, "--witness")
+    run("gallery")
+    run("gallery", "su_example")
+    run("gallery", "su_example", "--mdeg")
+    t1 = gallery("su_t1")
+    found = PolyMap((t1.components[0] + t1.components[1] ** 2,
+                     t1.components[1], t1.components[2]))
+    run("reduce", "--map", _write("m.json", found.to_json()), "--target", "1")
+    run("reduce", "--map", _write("su.json", gallery("su_example").to_json()),
+        "--target", "2")
+    run("semigroup", "5", "7", "--k", "24")
+    run("semigroup", "5", "7", "--k", "23")
+
+
 GROUPS = {
     "decide_verify": _decide_verify,
     "analyze2": _analyze2,
     "reduce": _reduce,
     "semigroup_enumerate": _semigroup_enumerate,
+    "text": _text,
 }
 
 
