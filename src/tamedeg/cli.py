@@ -85,9 +85,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _load_map(path: str) -> PolyMap:
+def _read_json(path: str):
+    """The JSON value in the file at ``path``; ValueError if it nests too
+    deeply for the decoder."""
     with open(path) as fh:
-        return PolyMap.from_json(json.load(fh))
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _cmd_decide(args) -> int:
@@ -207,14 +212,13 @@ def _cmd_gallery(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    data = witness.load_witness_file(args.file)
-    ok = witness.verify_witness_json(data)
+    ok = witness.verify_witness_json(_read_json(args.file))
     print("OK" if ok else "MISMATCH")
     return 0 if ok else 1
 
 
 def _cmd_analyze2(args) -> int:
-    m = _load_map(args.map_file)
+    m = PolyMap.from_json(_read_json(args.map_file))
     try:
         dec = plane.peel(m)
     except (plane.NotKellerError, plane.PeelStuckError) as exc:
@@ -249,7 +253,7 @@ def _cmd_analyze2(args) -> int:
 def _cmd_reduce(args) -> int:
     if args.deg_bound > reductions.MAX_DEG_BOUND:
         raise _UsageError(f"--deg-bound must be at most {reductions.MAX_DEG_BOUND}")
-    m = _load_map(args.map_file)
+    m = PolyMap.from_json(_read_json(args.map_file))
     if not 1 <= args.target <= 3:
         raise _UsageError("--target must be 1, 2, or 3")
     cand = reductions.bounded_reduction_search(

@@ -133,6 +133,23 @@ def elementary(n: int, i: int, f: Polynomial) -> Factor:
     return Factor(PolyMap(tuple(comps)), PolyMap(tuple(inv)))
 
 
+def _shifted(order: Sequence[int], scalars: Sequence[Fraction],
+             shifts: Sequence[Polynomial]) -> Factor:
+    """x_v -> a*x_v + f for v, a, f read along ``order``, each f in the
+    variables before v in the order; the inverse by back-substitution."""
+    n = len(order)
+    comps = list(identity(n).components)
+    inv = list(comps)
+    for k, (v, a, f) in enumerate(zip(order, scalars, shifts)):
+        if f.n != n:
+            raise DimensionMismatch("f has wrong variable count")
+        if not f.variables() <= set(order[:k]):
+            raise ValueError(f"the shift of variable {v} involves forbidden variables")
+        comps[v] = comps[v].scale(a) + f
+        inv[v] = (Polynomial.variable(n, v) - f.substitute(inv)).scale(1 / a)
+    return Factor(PolyMap(tuple(comps)), PolyMap(tuple(inv)))
+
+
 def triangular(fs: Sequence[Polynomial], perm: Sequence[int] | None = None) -> Factor:
     """Triangular map: in the order given by perm, the first variable is fixed
     and each later one is shifted by a polynomial in the strictly earlier ones.
@@ -144,20 +161,7 @@ def triangular(fs: Sequence[Polynomial], perm: Sequence[int] | None = None) -> F
     order = list(range(n)) if perm is None else list(perm)
     if sorted(order) != list(range(n)):
         raise ValueError("perm must be a permutation of 0..n-1")
-    comps = list(identity(n).components)
-    for k, f in enumerate(fs, start=1):
-        if f.n != n:
-            raise DimensionMismatch("f has wrong variable count")
-        allowed = set(order[:k])
-        if not f.variables() <= allowed:
-            raise ValueError(f"fs[{k-1}] involves forbidden variables")
-        comps[order[k]] = comps[order[k]] + f
-    fwd = PolyMap(tuple(comps))
-    # back-substitution for the inverse
-    inv = list(identity(n).components)
-    for k, f in enumerate(fs, start=1):
-        inv[order[k]] = Polynomial.variable(n, order[k]) - f.substitute(inv)
-    return Factor(fwd, PolyMap(tuple(inv)))
+    return _shifted(order, [Fraction(1)] * n, [Polynomial.zero(n), *fs])
 
 
 def de_jonquieres(scalars: Sequence, fs: Sequence[Polynomial]) -> Factor:
@@ -168,18 +172,7 @@ def de_jonquieres(scalars: Sequence, fs: Sequence[Polynomial]) -> Factor:
     a = [Fraction(s) for s in scalars]
     if any(not s for s in a):
         raise ValueError("scalars must be nonzero")
-    comps = []
-    for i, f in enumerate(fs):
-        if f.n != n:
-            raise DimensionMismatch("f has wrong variable count")
-        if not f.variables() <= set(range(i + 1, n)):
-            raise ValueError(f"fs[{i}] involves forbidden variables")
-        comps.append(Polynomial.variable(n, i).scale(a[i]) + f)
-    fwd = PolyMap(tuple(comps))
-    inv = list(identity(n).components)
-    for i in range(n - 1, -1, -1):
-        inv[i] = (Polynomial.variable(n, i) - fs[i].substitute(inv)).scale(1 / a[i])
-    return Factor(fwd, PolyMap(tuple(inv)))
+    return _shifted(range(n - 1, -1, -1), a[::-1], fs[::-1])
 
 
 def affine(matrix: Sequence[Sequence], vector: Sequence | None = None) -> Factor:

@@ -114,6 +114,14 @@ def _require_keller(g: PolyMap) -> None:
 POWER_TERMS_FACTOR = 64
 
 
+def _cancel_top(p: Polynomial, q: Polynomial) -> tuple:
+    """(c, p - c*q) with c read at a top monomial of q: the degree of p drops
+    exactly when lead(p) = c * lead(q)."""
+    e = max(q.numerators, key=sum)
+    c = p.coefficient(e) / q.coefficient(e)
+    return c, p - q.scale(c)
+
+
 def _peel_chain(f_map: PolyMap) -> Decomposition:
     """The decomposition that leading-form peeling finds, not yet checked.
 
@@ -137,50 +145,47 @@ def _peel_chain(f_map: PolyMap) -> Decomposition:
     checked first, so (x^2 + x + y, x^2000) builds none either.
     """
     g = f_map
+    p, q = g.components
+    dp, dq = p.total_degree(), q.total_degree()
     c = 0  # the head fix (x + c*y, y); the identity when c = 0
     strips: list[tuple[int, dict]] = []  # (component lowered, {k: c_k})
-    while g.deg() > 1:
-        p, q = g.components
-        dp, dq = p.total_degree(), q.total_degree()
+    while max(dp, dq) > 1:
         if min(dp, dq) < 1:
             raise PeelStuckError("constant or zero component while peeling", g)
         if dp == dq:
-            e = max(q.numerators, key=sum)
-            c = p.coefficient(e) / q.coefficient(e)
-            head = p - q.scale(c)
-            if head.total_degree() == dp:
+            c, p = _cancel_top(p, q)
+            if (dp := p.total_degree()) == dq:
                 raise PeelStuckError(
-                    f"equal-degree leading forms not proportional at degree {dp}", g)
-            g = PolyMap((head, q))
+                    f"equal-degree leading forms not proportional at degree {dq}", g)
+            g = PolyMap((p, q))
             continue
         i = int(dp < dq)  # the component to lower
         rem, low = (q, p) if i else (p, q)
-        dl = int(low.total_degree())
+        dr, dl = (dq, dp) if i else (dp, dq)
         coeffs, powers = {}, [low]  # powers[j] = low ** (j + 1), built as read
-        while rem.total_degree() > dl or (rem.total_degree() == dl and dl > 1):
-            dr = int(rem.total_degree())
+        while dr > dl or (dr == dl and dl > 1):
             if dr % dl:
                 raise PeelStuckError(
                     f"degree {dr} not divisible by {dl} while peeling", g)
             k = dr // dl
             if len(powers) >= k or is_power_proportional(
-                    rem.leading_form(), low.leading_form()):
+                    rem.homogeneous_part(dr), low.homogeneous_part(dl)):
                 dense = sum((j * dl + 1) * (j * dl + 2) // 2
                             for j in range(len(powers) + 1, k + 1))
                 if dense > POWER_TERMS_FACTOR * (len(p.numerators) + len(q.numerators)):
                     _require_keller(g)
                 while len(powers) < k:
                     powers.append(powers[-1] * low)
-                top = powers[k - 1]
-                e = max(top.numerators, key=sum)  # of degree dr
-                coeffs[k] = ck = rem.coefficient(e) / top.coefficient(e)
-                rem = rem - top.scale(ck)
-            if rem.total_degree() == dr:
+                coeffs[k], rem = _cancel_top(rem, powers[k - 1])
+            if (d := rem.total_degree()) == dr:
                 raise PeelStuckError(
                     f"leading form at degree {dr} is not proportional to a "
                     f"power of the lower component's form", g)
+            dr = d
         strips.append((i, coeffs))
-        g = PolyMap((p, rem) if i else (rem, q))
+        p, q = (p, rem) if i else (rem, q)
+        dp, dq = (dp, dr) if i else (dr, dq)
+        g = PolyMap((p, q))
 
     flip = bool(strips) and strips[-1][0] == 1
     try:

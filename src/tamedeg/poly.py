@@ -261,7 +261,8 @@ class Polynomial:
         if self.n != other.n:
             raise DimensionMismatch(f"variable counts differ: {self.n} vs {other.n}")
 
-    def __add__(self, other):
+    def _merge(self, other, sign: int):
+        """self + sign * other, sign being 1 or -1."""
         if isinstance(other, (int, Fraction)):
             other = Polynomial.constant(self.n, other)
         if not isinstance(other, Polynomial):
@@ -269,7 +270,7 @@ class Polynomial:
         self._check(other)
         da, db = self.denominator, other.denominator
         den = lcm(da, db)
-        fa, fb = den // da, den // db
+        fa, fb = den // da, den // db * sign
         out = (dict(self.numerators) if fa == 1
                else {e: v * fa for e, v in self.numerators.items()})
         for exps, v in other.numerators.items():
@@ -280,6 +281,9 @@ class Polynomial:
                 del out[exps]
         return Polynomial._make(self.n, out, den)
 
+    def __add__(self, other):
+        return self._merge(other, 1)
+
     __radd__ = __add__
 
     def __neg__(self):
@@ -287,11 +291,7 @@ class Polynomial:
                                 self.denominator)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(self.n, other)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return self + (-other)
+        return self._merge(other, -1)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -367,7 +367,7 @@ class Polynomial:
             raise DimensionMismatch(
                 f"expected {self.n} substitution arguments, got {len(args)}")
         if not args:
-            return Polynomial._make(0, dict(self.numerators), self.denominator)
+            return self  # a polynomial in no variables is a constant
         m = args[0].n
         for a in args:
             if a.n != m:

@@ -7,7 +7,7 @@ composition before returning; a mismatch is an implementation bug and raises.
 """
 from __future__ import annotations
 
-import json
+import graphlib
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
@@ -246,13 +246,11 @@ def _is_generator(m: PolyMap) -> bool:
                 break
             uses[i] = c.variables() - {i}
     else:
-        # drop, round by round, each component whose f_i uses no variable
-        # still left; a cycle among the f_i leaves some
-        while ready := [i for i, used in uses.items() if used.isdisjoint(uses)]:
-            for i in ready:
-                del uses[i]
-        if not uses:
+        try:
+            graphlib.TopologicalSorter(uses).prepare()  # a cycle among the f_i raises
             return True
+        except graphlib.CycleError:
+            pass
     if any(sum(e) > 1 for c in m.components for e in c.numerators):
         return False
     try:
@@ -282,8 +280,3 @@ def verify_witness_json(data: dict) -> bool:
     if not factors or not all(map(_is_generator, factors)):
         return False
     return compose_all(factors).mdeg() == target
-
-
-def load_witness_file(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)

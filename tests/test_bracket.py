@@ -93,10 +93,12 @@ class TestPoissonDegree:
 class TestPowerProportional:
     def test_exact_power(self):
         assert is_power_proportional(p("4*x^6"), p("2*x^2")) == (Fraction(1, 2), 3)
+        assert is_power_proportional(p("6"), p("4")) == (Fraction(3, 2), 1)
 
     def test_not_a_power(self):
         assert is_power_proportional(p("x^2 + y^2"), p("x")) is None
         assert is_power_proportional(p("x^3"), p("x^2")) is None
+        assert is_power_proportional(p("x"), p("4")) is None
 
     def test_requires_homogeneous(self):
         with pytest.raises(ValueError):

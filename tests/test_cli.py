@@ -435,6 +435,14 @@ class TestUsage:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze2", "--map"], ["reduce", "--target", "1", "--map"], ["verify"]])
+    def test_deeply_nested_file(self, capsys, tmp_path, argv):
+        path = tmp_path / "in.json"
+        path.write_text("[" * 200000 + "]" * 200000)
+        assert run(capsys, *argv, str(path)) == (
+            EXIT_USAGE, "", f"error: {path}: JSON nested too deeply\n")
+
     @pytest.mark.parametrize("argv, content", [
         # aliased names: both components would read x as the second variable
         (["analyze2", "--map"], {"n": 2, "vars": ["x", "x"], "components": ["x + 1", "x"]}),

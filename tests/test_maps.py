@@ -102,10 +102,14 @@ class TestFactorInverses:
     def test_triangular(self):
         self.check(triangular([p("x^2"), p("x*y + y^3")]))
         self.check(triangular([p("z^3"), p("z*y + y^2")], perm=[2, 1, 0]))
+        with pytest.raises(ValueError):  # the shift of y uses the later z
+            triangular([p("z"), p("x")])
 
     def test_de_jonquieres(self):
         self.check(de_jonquieres([1, 2, Fraction(1, 3)],
                                  [p("y^2 + z"), p("z^3"), Polynomial.zero(3)]))
+        with pytest.raises(ValueError):  # the last shift must be constant
+            de_jonquieres([1, 2, 3], [p("y"), p("z"), p("z")])
 
     def test_affine(self):
         self.check(affine([[1, 2], [1, 3]], [5, -1]))

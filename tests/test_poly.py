@@ -148,6 +148,9 @@ class TestStructure:
         args = [p("x + y^2", n=2), p("1/2*y", n=2), p("3", n=2)]
         for i in range(3):
             assert Polynomial.variable(3, i).substitute(args) is args[i]
+        # a polynomial in no variables is its own image
+        c = Polynomial.constant(0, Fraction(5, 3))
+        assert c.substitute([]) is c
         # a coefficient or a denominator other than 1 is no identity component
         assert p("2*y").substitute(args) == p("y", n=2)
         assert p("1/2*y").substitute(args) == p("1/4*y", n=2)

@@ -61,6 +61,10 @@ class TestBoundedSearch:
         f = gallery("su_example")
         for i in range(3):
             assert bounded_reduction_search(f, i, 4, 12) is None
+        # a zero target, and a constant component beside the target
+        for text in (("0", "y", "z"), ("x^2 + z", "3", "z")):
+            assert bounded_reduction_search(
+                PolyMap(tuple(map(p, text))), 0, 4, 12) is None
 
     def test_plant_and_recover(self):
         rng = random.Random(3)
@@ -119,6 +123,7 @@ class TestBoundedSearch:
 class TestTypeThreeShape:
     def test_matching_shapes(self):
         assert type3_shape(3, 4, 6)
+        assert type3_shape(6, 8, 11)  # d1 = 3n/2 with 5n/2 < d3 <= 3n
 
     def test_non_matching(self):
         assert not type3_shape(5, 6, 9)

@@ -39,6 +39,7 @@ class TestMember:
 
     def test_nonmember(self):
         assert SemigroupPair(5, 7).member(23) is None
+        assert SemigroupPair(5, 7).member(-1) is None
         assert 24 in SemigroupPair(5, 7)
         assert 23 not in SemigroupPair(5, 7)
 

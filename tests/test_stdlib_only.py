@@ -1,0 +1,31 @@
+"""The runtime imports only the standard library and its own modules."""
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "tamedeg").glob("*.py"))
+
+
+def _imported(tree: ast.Module):
+    """(module name, level) of every import statement in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, 0
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or "", node.level
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda path: path.name)
+def test_imports_are_stdlib_or_tamedeg(source):
+    tree = ast.parse(source.read_text(), filename=str(source))
+    outside = [name for name, level in _imported(tree)
+               if not level and name.partition(".")[0] not in sys.stdlib_module_names
+               and name.partition(".")[0] != "tamedeg"]
+    assert outside == []
+
+
+def test_sources_found():
+    assert {"poly.py", "cli.py", "witness.py"} <= {path.name for path in SOURCES}
