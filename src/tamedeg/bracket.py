@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional
+from typing import Optional, Union
 
 from .poly import NEG_INF, Polynomial
 
@@ -74,6 +74,7 @@ class ReducedPairReport:
     g_bar_in_f_bar: bool
     is_star_reduced: bool
     p: Optional[int]
+    bracket_degree: Union[int, float]  # deg [f, g]; NEG_INF when dependent
 
 
 def reduced_pair_report(f: Polynomial, g: Polynomial) -> ReducedPairReport:
@@ -85,7 +86,8 @@ def reduced_pair_report(f: Polynomial, g: Polynomial) -> ReducedPairReport:
     """
     if f.total_degree() < 1 or g.total_degree() < 1:
         raise ValueError("inputs must be nonconstant")
-    independent = poisson_degree(f, g) != NEG_INF
+    bracket_degree = poisson_degree(f, g)
+    independent = bracket_degree != NEG_INF
     fbar, gbar = f.leading_form(), g.leading_form()
     dependent_forms = poisson_degree(fbar, gbar) == NEG_INF
     f_in_g = is_power_proportional(fbar, gbar) is not None
@@ -96,7 +98,8 @@ def reduced_pair_report(f: Polynomial, g: Polynomial) -> ReducedPairReport:
         df, dg = int(f.total_degree()), int(g.total_degree())
         if df != dg:
             p = min(df, dg) // gcd(df, dg)
-    return ReducedPairReport(independent, dependent_forms, f_in_g, g_in_f, star, p)
+    return ReducedPairReport(independent, dependent_forms, f_in_g, g_in_f, star, p,
+                             bracket_degree)
 
 
 def su_lower_bound(deg_f: int, deg_g: int, bracket_deg: int, degy_g: int) -> int:

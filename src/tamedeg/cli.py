@@ -86,11 +86,13 @@ def _build_parser() -> _Parser:
 
 
 def _read_json(path: str):
-    """The JSON value in the file at ``path``; ValueError if it nests too
-    deeply for the decoder."""
+    """The JSON value in the file at ``path``; ValueError naming the file if
+    it is not JSON or nests too deeply for the decoder."""
     with open(path) as fh:
         try:
             return json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"{path}: {exc}") from None
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
 

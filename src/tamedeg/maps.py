@@ -192,10 +192,6 @@ def affine(matrix: Sequence[Sequence], vector: Sequence | None = None) -> Factor
     return Factor(rows_to_map(matrix, v), rows_to_map(m_inv, inv_shift))
 
 
-def linear_map(matrix: Sequence[Sequence]) -> Factor:
-    return affine(matrix)
-
-
 def permutation(n: int, perm: Sequence[int]) -> Factor:
     """Map sending x_{perm[i]} to position i: components (x_perm[0], ...)."""
     if sorted(perm) != list(range(n)):

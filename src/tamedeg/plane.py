@@ -38,6 +38,31 @@ class InconsistentLengthError(ValueError):
     """The (bidegree, length) combination violates the structure theorems."""
 
 
+# The point check of peel and inverse_map.  Reducing mod P is a ring
+# homomorphism on the rationals whose denominators P does not divide, so
+# equal maps agree at every point mod P and the check never fails on a
+# correct answer.  Different maps of degree d agree at a random point with
+# probability at most d / P (Schwartz-Zippel).  POINT is fixed (the first 32
+# hex digits of pi's fraction, reduced mod P) so that output stays
+# deterministic; a bug has no reason to hide its error at that point.
+P = 2 ** 61 - 1
+POINT = (0x243F6A8885A308D3 % P, 0x13198A2E03707344 % P)
+
+
+def _at(m: PolyMap, pt: tuple[int, int]) -> tuple[int, int]:
+    """The plane map m at pt mod P, read from each component's numerators
+    and denominator with one power table per variable; ValueError when P
+    divides a denominator."""
+    tables = ([1], [1])
+    for c in m.components:
+        for row, v, col in zip(tables, pt, zip(*c.numerators)):
+            for _ in range(max(col) + 1 - len(row)):
+                row.append(row[-1] * v % P)
+    xs, ys = tables
+    return tuple(sum(v * xs[i] * ys[j] for (i, j), v in c.numerators.items())
+                 * pow(c.denominator, -1, P) % P for c in m.components)
+
+
 @dataclass
 class Decomposition:
     l1: Factor
@@ -49,25 +74,44 @@ class Decomposition:
     def length(self) -> int:
         return len(self.factors)
 
+    @property
+    def chain(self) -> list[Factor]:
+        """L1, T_1, ..., T_l, L2: the factors in the order they apply."""
+        return [self.l1, *self.factors, self.l2]
+
     def compose(self) -> PolyMap:
-        chain = [self.l2.map] + [f.map for f in reversed(self.factors)] + [self.l1.map]
-        return compose_all(chain)
+        return compose_all([f.map for f in reversed(self.chain)])
+
+    def at(self, pt: tuple[int, int]) -> tuple[int, int]:
+        """L2 . T_l . ... . T_1 . L1 at pt mod P, one factor at a time;
+        ValueError when P divides a denominator of a factor."""
+        for f in self.chain:
+            pt = _at(f.map, pt)
+        return pt
 
     def inverse_map(self) -> PolyMap:
-        """Exact inverse via factor inverses.
+        """The inverse L1^-1 . T_1^-1 . ... . T_l^-1 . L2^-1, checked at a point.
 
-        ``peel`` already certifies that the decomposition recomposes to the
-        input; checking each factor's inverse individually (cheap, low degree)
-        then certifies the whole inverse by telescoping, without ever forming
-        the huge composition F . F^{-1}.
+        Each factor's inverse is exact by construction: an elementary map
+        (x + f(y), y) is undone by (x - f(y), y), and an affine one by the
+        inverse matrix.  The composed inverse G is then checked by one
+        evaluation mod P: G(D(POINT)) must equal POINT, where D is this
+        decomposition pushed through its factors.  That covers every factor
+        inverse and the composition itself at the cost of one pass over G's
+        terms; the evaluation shares no code with the product kernel, so a
+        kernel bug cannot hide in it.  It is an alarm for bugs, not a proof.
+        When P divides a denominator, each factor is checked exactly against
+        its inverse instead.
         """
-        ident = identity(2)
-        for factor in [self.l1, *self.factors, self.l2]:
-            if factor.map.compose(factor.inverse) != ident:
-                raise AssertionError("factor inverse verification failed "
-                                     "(internal bug)")
-        chain = [self.l1.inverse] + [f.inverse for f in self.factors] + [self.l2.inverse]
-        return compose_all(chain)
+        inv = compose_all([f.inverse for f in self.chain])
+        try:
+            same = _at(inv, self.at(POINT)) == POINT
+        except ValueError:  # P divides a denominator
+            ident = identity(2)
+            same = all(f.map.compose(f.inverse) == ident for f in self.chain)
+        if not same:
+            raise AssertionError("inverse verification failed (internal bug)")
+        return inv
 
 
 def _as_affine_factor(m: PolyMap) -> Factor:
@@ -86,8 +130,17 @@ def peel(f_map: PolyMap) -> Decomposition:
     the input is certifiably not an automorphism.  The Jacobian is computed
     only once peeling has failed, or before a large power list, and of the
     remainder where it stopped: every map peeled off has Jacobian
-    determinant 1, so by the chain rule the remainder's equals F's.  A successful peel ends with the exact check that
-    the decomposition recomposes to the input, which implies a constant one.
+    determinant 1, so by the chain rule the remainder's equals F's.
+
+    A successful decomposition equals F by construction: every strip step
+    and the head fix subtract c * q exactly (``_cancel_top``), so each
+    peeled map composed with the remainder gives back the map before it, and
+    the swap conjugating the strips cancels (S . S = id).  So the answer is
+    exact without recomposing it.  As an alarm for bugs in that bookkeeping
+    or in the kernel, F and the decomposition are evaluated at POINT mod P,
+    the decomposition one factor at a time, and must agree; the evaluation
+    does not use the product kernel.  When P divides a denominator, the
+    decomposition is recomposed and compared with F exactly instead.
     """
     if f_map.n != 2:
         raise ValueError("peel expects a 2-dimensional map")
@@ -96,7 +149,11 @@ def peel(f_map: PolyMap) -> Decomposition:
     except PeelStuckError as exc:
         _require_keller(exc.remainder)
         raise
-    if dec.compose() != f_map:
+    try:
+        same = _at(f_map, POINT) == dec.at(POINT)
+    except ValueError:  # P divides a denominator
+        same = dec.compose() == f_map
+    if not same:
         raise AssertionError("decomposition does not recompose (internal bug)")
     return dec
 
@@ -199,10 +256,6 @@ def _peel_chain(f_map: PolyMap) -> Decomposition:
         factors.append(elementary(2, i, f))
     l2 = affine([[c, 1], [1, 0]] if flip else [[1, c], [0, 1]])
     return Decomposition(l1, factors, l2, [max(coeffs) for _, coeffs in reversed(strips)])
-
-
-def length_of(f_map: PolyMap) -> int:
-    return peel(f_map).length
 
 
 def omega(k: int) -> int:

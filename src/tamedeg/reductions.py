@@ -10,7 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .bracket import poisson_degree, reduced_pair_report, su_lower_bound
+# poisson_degree is not called here; bench/spans.py times it at this name
+from .bracket import poisson_degree, reduced_pair_report, su_lower_bound  # noqa: F401
 from .linalg import solve_linear
 from .maps import PolyMap
 from .poly import NEG_INF, Polynomial
@@ -82,9 +83,8 @@ def bounded_reduction_search(f_map: PolyMap, i: int, degy_bound: int,
         report = reduced_pair_report(lo, hi)
         if (report.independent and not report.f_bar_in_g_bar
                 and not report.g_bar_in_f_bar):
-            bracket = poisson_degree(lo, hi)
-            prune = lambda t: su_lower_bound(int(d_lo), int(d_hi),
-                                             int(bracket), t) > d_target
+            bracket = int(report.bracket_degree)
+            prune = lambda t: su_lower_bound(int(d_lo), int(d_hi), bracket, t) > d_target
 
     # Powers of X = lo and Y = hi, and their products, are built when a
     # class that is not pruned first reads them, and kept for the later

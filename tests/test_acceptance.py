@@ -8,7 +8,7 @@ import time
 from conftest import random_plane_chain
 from tamedeg.bracket import poisson_degree
 from tamedeg.classify import Status, classify, enumerate_classifications
-from tamedeg.maps import compose_all, gallery, linear_map, nagata_power
+from tamedeg.maps import affine, compose_all, gallery, nagata_power
 from tamedeg.plane import inverse_mdeg_prediction, length_bound, peel
 from tamedeg.poly import NEG_INF, Polynomial, parse_poly
 from tamedeg.reductions import bounded_reduction_search, check_elementary_reduction
@@ -134,6 +134,7 @@ def test_criterion_8_plane_automorphism_theorems():
         for _ in range(500):
             f, length, degs = random_plane_chain(rng)
             dec = peel(f)
+            assert dec.compose() == f
             inv = dec.inverse_map()
             d1, d2 = sorted(f.mdeg())
             assert inv.deg() == f.deg()
@@ -160,7 +161,7 @@ def test_criterion_9_property_suites():
         while True:
             rows = [[rng.randrange(-2, 3) for _ in range(3)] for _ in range(3)]
             try:
-                lin = linear_map(rows)
+                lin = affine(rows)
                 break
             except Exception:
                 continue

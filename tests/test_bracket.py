@@ -6,7 +6,7 @@ import pytest
 from tamedeg.bracket import (confined_to_first_two, is_power_proportional,
                              jac_minor, poisson_degree, reduced_pair_report,
                              su_lower_bound)
-from tamedeg.maps import compose_all, elementary, linear_map
+from tamedeg.maps import affine, compose_all, elementary
 from tamedeg.poly import NEG_INF, Polynomial, parse_poly
 
 
@@ -85,7 +85,7 @@ class TestPoissonDegree:
                        + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0]))
                 if det != 0:
                     break
-            lin = linear_map(rows).map.components
+            lin = affine(rows).map.components
             fl, gl = f.substitute(list(lin)), g.substitute(list(lin))
             assert poisson_degree(fl, gl) == poisson_degree(f, g)
 
@@ -114,6 +114,7 @@ class TestReducedPair:
         assert not report.g_bar_in_f_bar
         assert report.is_star_reduced
         assert report.p == 2
+        assert report.bracket_degree == poisson_degree(p("x + y^2"), p("y^3")) == 4
 
     def test_power_multiple_not_star_reduced(self):
         report = reduced_pair_report(p("x"), p("y + x^2"))
@@ -123,6 +124,7 @@ class TestReducedPair:
 
     def test_independent_forms_not_star_reduced(self):
         report = reduced_pair_report(p("x"), p("y"))
+        assert report.bracket_degree == 2
         assert not report.leading_forms_dependent
         assert not report.is_star_reduced
 

@@ -443,6 +443,15 @@ class TestUsage:
         assert run(capsys, *argv, str(path)) == (
             EXIT_USAGE, "", f"error: {path}: JSON nested too deeply\n")
 
+    @pytest.mark.parametrize("argv", [
+        ["analyze2", "--map"], ["reduce", "--target", "1", "--map"], ["verify"]])
+    def test_file_not_json(self, capsys, tmp_path, argv):
+        path = tmp_path / "in.json"
+        path.write_text('{"n": 2,')
+        assert run(capsys, *argv, str(path)) == (
+            EXIT_USAGE, "", f"error: {path}: Expecting property name enclosed in "
+                            "double quotes: line 1 column 9 (char 8)\n")
+
     @pytest.mark.parametrize("argv, content", [
         # aliased names: both components would read x as the second variable
         (["analyze2", "--map"], {"n": 2, "vars": ["x", "x"], "components": ["x + 1", "x"]}),

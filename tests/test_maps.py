@@ -5,7 +5,7 @@ import pytest
 
 from tamedeg.maps import (PolyMap, affine, compose_all, de_jonquieres,
                           elementary, gallery, gallery_names, identity,
-                          linear_map, nagata_power, permutation, swap,
+                          nagata_power, permutation, swap,
                           triangular)
 from tamedeg.linalg import SingularMatrixError
 from tamedeg.poly import Polynomial, parse_poly

@@ -147,10 +147,14 @@ def oracle_peel_chain(f_map: PolyMap) -> Decomposition:
 
 
 def outcome(peel_fn, f_map):
+    """The decomposition's parts, or the exception's type and message.  A
+    decomposition must recompose to f_map exactly: peel itself only checks
+    it at a point."""
     try:
         dec = peel_fn(f_map)
     except (ValueError, AssertionError) as exc:
         return type(exc), str(exc)
+    assert dec.compose() == f_map
     return dec.l1, dec.factors, dec.l2, dec.factor_degrees
 
 

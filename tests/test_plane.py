@@ -1,13 +1,15 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from conftest import random_plane_chain
 from tamedeg import plane
 from tamedeg.bracket import is_power_proportional
-from tamedeg.maps import Factor, PolyMap, compose_all, elementary, identity
+from tamedeg.maps import (Factor, PolyMap, affine, compose_all, elementary, identity,
+                          swap)
 from tamedeg.plane import (InconsistentLengthError, NotKellerError, PeelStuckError,
-                           inverse_mdeg_prediction, length_bound, length_of,
+                           inverse_mdeg_prediction, length_bound,
                            omega, peel)
 from tamedeg.poly import Polynomial, parse_poly
 
@@ -185,7 +187,7 @@ class TestInverse:
         dec = peel(PolyMap((p2("x"), p2("y + x^3"))))
         t = dec.factors[0]
         dec.factors[0] = Factor(t.map, t.map)  # T in place of T^-1
-        with pytest.raises(AssertionError, match="factor inverse"):
+        with pytest.raises(AssertionError, match="inverse verification failed"):
             dec.inverse_map()
 
     def test_inverse_degree_equals_degree(self):
@@ -201,6 +203,124 @@ class TestInverse:
                       for _ in range(2)]
                 mid = [c.substitute(pt) for c in inv.components]
                 assert [c.substitute(mid) for c in f.components] == pt
+
+
+P = 2 ** 61 - 1
+
+
+def _edit_top(t: Factor, edit) -> Factor:
+    """The elementary factor (x + f(y), y) or (x, y + f(x)) with the
+    coefficient c_k of f's top term replaced by edit(c_k)."""
+    i = int(t.map.components[0] == p2("x"))  # the coordinate it shifts
+    f = t.map.components[i] - Polynomial.variable(2, i)
+    e = max(f.numerators, key=sum)
+    c = f.coefficient(e)
+    return elementary(2, i, f + Polynomial.monomial(2, e, edit(c) - c))
+
+
+def _drop_flip(dec):
+    """Undo the swap conjugation of the strips; L1 and L2 keep theirs."""
+    s = swap(2, 0, 1).map
+    dec.factors = [Factor(compose_all([s, t.map, s]), compose_all([s, t.inverse, s]))
+                   for t in dec.factors]
+
+
+def _edit_t1(edit):
+    def corrupt(dec):
+        dec.factors[0] = _edit_top(dec.factors[0], edit)
+    return corrupt
+
+
+CORRUPTIONS = {
+    "c_k off by one": _edit_t1(lambda c: c + 1),
+    "c_k sign flipped": _edit_t1(lambda c: -c),
+    "flip dropped": _drop_flip,
+}
+
+
+def _flipped(a=1):
+    """(x + 2y^3 + y, y) . (x, y + x^2 - x/2) . (a*x + 2, 3x + y): its last
+    strip lowers the second component, so its strips are conjugated by the
+    swap.  a = 1/P puts P in the denominators of F and of L1, a = P in the
+    inverse's only."""
+    return compose_all([elementary(2, 0, p2("2*y^3 + y")).map,
+                        elementary(2, 1, p2("x^2 - 1/2*x")).map,
+                        affine([[a, 0], [3, 1]], [2, 0]).map])
+
+
+class TestPointCheck:
+    """peel and inverse_map check their answers by one evaluation mod P; a
+    map with a denominator divisible by P is checked exactly instead."""
+
+    def test_flipped_chain_is_flipped(self):
+        dec = peel(_flipped())
+        assert dec.factor_degrees == [2, 3]
+        assert dec.l2.map == swap(2, 0, 1).map
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    @pytest.mark.parametrize("a", [1, Fraction(1, P), P])
+    def test_corrupted_decomposition_raises(self, monkeypatch, corruption, a):
+        f = _flipped(a)
+        chain = plane._peel_chain
+
+        def corrupted(f_map):
+            dec = chain(f_map)
+            CORRUPTIONS[corruption](dec)
+            assert dec.compose() != f_map
+            return dec
+
+        monkeypatch.setattr(plane, "_peel_chain", corrupted)
+        with pytest.raises(AssertionError, match="does not recompose"):
+            peel(f)
+
+    @pytest.mark.parametrize("which", range(4))
+    @pytest.mark.parametrize("a", [1, Fraction(1, P), P])
+    def test_corrupted_inverse_raises(self, which, a):
+        # the inverse of L1, T_1, T_2 or L2 off by one constant term
+        dec = peel(_flipped(a))
+        t = dec.chain[which]
+        c0, c1 = t.inverse.components
+        bad = Factor(t.map, PolyMap((c0 + Polynomial.constant(2, 1), c1)))
+        if which == 0:
+            dec.l1 = bad
+        elif which == 3:
+            dec.l2 = bad
+        else:
+            dec.factors[which - 1] = bad
+        with pytest.raises(AssertionError, match="inverse verification failed"):
+            dec.inverse_map()
+
+    @pytest.mark.parametrize("a", [Fraction(1, P), P])
+    def test_denominator_p_takes_exact_check(self, monkeypatch, a):
+        f = _flipped(a)
+        recomposed, composed = [], []
+        recompose = plane.Decomposition.compose
+        monkeypatch.setattr(plane.Decomposition, "compose",
+                            lambda dec: recomposed.append(dec) or recompose(dec))
+        dec = peel(f)
+        assert len(recomposed) == (a != P)
+        assert recompose(dec) == f
+        compose = PolyMap.compose
+        monkeypatch.setattr(PolyMap, "compose",
+                            lambda m, other: composed.append(m) or compose(m, other))
+        inv = dec.inverse_map()
+        # the inverse's 3 compositions, then one check per factor
+        assert len(composed) == 3 + 4
+        monkeypatch.undo()
+        assert f.compose(inv) == identity(2) == inv.compose(f)
+
+    def test_no_exact_recomposition(self, monkeypatch):
+        # with no denominator divisible by P, peel composes nothing and
+        # inverse_map only the inverse
+        f, _, _ = random_plane_chain(random.Random(11))
+        composed = []
+        compose = PolyMap.compose
+        monkeypatch.setattr(PolyMap, "compose",
+                            lambda m, other: composed.append(m) or compose(m, other))
+        dec = peel(f)
+        assert composed == []
+        dec.inverse_map()
+        assert len(composed) == dec.length + 1
 
 
 class TestRandomChains:
@@ -220,7 +340,7 @@ class TestRandomChains:
     def test_length_of(self):
         rng = random.Random(13)
         f, length, _ = random_plane_chain(rng)
-        assert length_of(f) == length
+        assert peel(f).length == length
 
 
 class TestOmegaAndBounds:
