@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 from tamedeg.maps import PolyMap, affine, compose_all, elementary
-from tamedeg.poly import Polynomial
+from tamedeg.poly import Polynomial, parse_poly
 
 
 def sparse_univariate(rng: random.Random, deg: int, var: int) -> Polynomial:
@@ -57,3 +57,21 @@ def random_plane_chain(rng: random.Random, max_degree_product: int = 32
     l1, l2 = random_affine2(rng), random_affine2(rng)
     chain = [l2.map] + [f.map for f in reversed(factors)] + [l1.map]
     return compose_all(chain), length, sorted(degs)
+
+
+def planted_map(rng: random.Random):
+    """A 3-dimensional map whose first component hides g(F_2, F_3) on top of
+    a lower-degree part: the search must strip it off.  None when the plant
+    does not raise the degree."""
+    e1 = elementary(3, 2, parse_poly("x^2 + y", n=3))
+    e2 = elementary(3, 1, parse_poly("x^2", n=3))
+    base = compose_all([e1.map, e2.map])
+    s = rng.randrange(1, 3)
+    t = rng.randrange(0, 3)
+    c = Fraction(rng.choice([1, -1, 2]))
+    g = Polynomial(2, {(s, t): c})
+    comps = list(base.components)
+    planted = comps[0] + g.substitute([comps[1], comps[2]])
+    if planted.total_degree() <= comps[0].total_degree():
+        return None
+    return PolyMap((planted, comps[1], comps[2]))

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from conftest import random_plane_chain
+from conftest import planted_map, random_plane_chain
 from tamedeg.cli import main
 from tamedeg.maps import PolyMap, gallery
 from tamedeg.poly import Polynomial
@@ -28,6 +28,8 @@ GOLDEN = {
         "ed4fb53d203dea981812b093f15e75220ff25fe8ee265f2210be02d3f9afe345",
     "text":
         "b15e26879a3b79c7bf549fb6dc0e077de9944f79c76b2d49960014cc29d47ebd",
+    "reduce_planted":
+        "25b42558ccadac4fa2681bf87de1a8e63b123e836da46032cb12e8122138f4b6",
 }
 
 
@@ -77,6 +79,16 @@ def _reduce(run):
         run("reduce", "--map", path, "--target", target, "--json")
 
 
+def _reduce_planted(run):
+    # the g of a found reduction: 24 planted maps, each at the benchmark's
+    # bounds and at the CLI defaults
+    for s in range(24):
+        path = _write("m.json", planted_map(random.Random(s)).to_json())
+        run("reduce", "--map", path, "--target", "1",
+            "--degy-bound", "8", "--deg-bound", "40", "--json")
+        run("reduce", "--map", path, "--target", "1", "--json")
+
+
 def _semigroup_enumerate(run):
     run("semigroup", "5", "7", "--gaps", "--min", "7")
     run("semigroup", "5", "7", "--k", "24", "--json")
@@ -114,6 +126,7 @@ GROUPS = {
     "decide_verify": _decide_verify,
     "analyze2": _analyze2,
     "reduce": _reduce,
+    "reduce_planted": _reduce_planted,
     "semigroup_enumerate": _semigroup_enumerate,
     "text": _text,
 }

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import planted_map
 from tamedeg import reductions
 from tamedeg.linalg import solve_linear
-from tamedeg.maps import PolyMap, compose_all, elementary, gallery
+from tamedeg.maps import PolyMap, gallery
 from tamedeg.poly import Polynomial, parse_poly
 from tamedeg.reductions import (ReductionCandidate, bounded_reduction_search,
                                 check_elementary_reduction, type3_shape)
@@ -13,23 +14,6 @@ from tamedeg.reductions import (ReductionCandidate, bounded_reduction_search,
 
 def p(text):
     return parse_poly(text, n=3)
-
-
-def planted_map(rng):
-    """A 3-dimensional map whose first component hides g(F_2, F_3) on top of
-    a lower-degree part: the search must strip it off."""
-    e1 = elementary(3, 2, p("x^2 + y"))
-    e2 = elementary(3, 1, p("x^2"))
-    base = compose_all([e1.map, e2.map])
-    s = rng.randrange(1, 3)
-    t = rng.randrange(0, 3)
-    c = Fraction(rng.choice([1, -1, 2]))
-    g = Polynomial(2, {(s, t): c})
-    comps = list(base.components)
-    planted = comps[0] + g.substitute([comps[1], comps[2]])
-    if planted.total_degree() <= comps[0].total_degree():
-        return None
-    return PolyMap((planted, comps[1], comps[2]))
 
 
 class TestCheck:
