@@ -3,9 +3,11 @@
 Both run one Gauss-Jordan elimination, ``_gauss_jordan``, on sparse integer
 rows: each row is a dict from column to nonzero int, so eliminating a pivot
 touches only the rows that have an entry in its column and only their
-nonzero entries.  A row with Fraction entries is scaled once by the lcm of
-its denominators; a row of ints skips that.  Eliminating a column replaces a
-row by ``p*row - f*pivot_row`` and divides it by its content (the gcd of its
+nonzero entries.  ``solve_linear`` takes its rows in that form, as the
+reduction search builds them; ``invert_matrix`` takes dense rows of ints or
+Fractions and scales each row, its identity block included, by the lcm of
+its denominators.  Eliminating a column replaces a row by
+``p*row - f*pivot_row`` and divides it by its content (the gcd of its
 entries), and a row is divided by its content before it is kept.  Every kept
 row is therefore the primitive integer multiple of the row a Fraction
 elimination would hold, and its entries grow no faster than that row's
@@ -18,9 +20,8 @@ any other.  Fractions are built only when the answer is read off.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, count
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 
 class SingularMatrixError(ValueError):
@@ -47,19 +48,17 @@ def _eliminate(row: dict[int, int], prow: dict[int, int], col: int) -> dict[int,
     return _primitive(out) if out else out
 
 
-def _gauss_jordan(rows: Sequence[Sequence], ncols: int) -> tuple[list[dict[int, int]], list[int]]:
-    """Reduced row echelon form over the first ``ncols`` columns, as sparse
-    primitive integer rows (column -> nonzero int), and the pivot columns:
-    row r holds the pivot of column ``pivots[r]``; the rows past the rank
-    are the nonzero rows left, none of them with an entry in the first
-    ``ncols`` columns.  Zero rows are dropped."""
+def _gauss_jordan(rows: Iterable[dict[int, int]], ncols: int
+                  ) -> tuple[list[dict[int, int]], list[int]]:
+    """Reduced row echelon form over the first ``ncols`` columns of sparse
+    integer rows (column -> nonzero int; the rows are not modified), as
+    sparse primitive integer rows, and the pivot columns: row r holds the
+    pivot of column ``pivots[r]``; the rows past the rank are the nonzero
+    rows left, none of them with an entry in the first ``ncols`` columns.
+    Zero rows are dropped."""
     echelon: dict[int, dict[int, int]] = {}  # leading column -> row
     rest = []
-    for dense in rows:
-        row = {c: dense[c] for c in compress(count(), dense)}
-        if not all(type(x) is int for x in row.values()):
-            d = lcm(*(x.denominator for x in row.values()))
-            row = {c: x.numerator * (d // x.denominator) for c, x in row.items()}
+    for row in rows:
         while row:
             col = min(row)
             if col >= ncols:
@@ -84,27 +83,38 @@ def _gauss_jordan(rows: Sequence[Sequence], ncols: int) -> tuple[list[dict[int, 
 
 
 def invert_matrix(rows: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Inverse of a square matrix; raises SingularMatrixError if singular."""
+    """Inverse of a square matrix of ints or Fractions; raises
+    SingularMatrixError if singular."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
-    a, pivots = _gauss_jordan(
-        [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(rows)], n)
+    sparse = []
+    for i, row in enumerate(rows):
+        # [A | I] row i: the identity entry is scaled with the row
+        entries = {c: x for c, x in enumerate(row) if x}
+        entries[n + i] = 1
+        d = lcm(*(x.denominator for x in entries.values()))
+        sparse.append({c: x.numerator * (d // x.denominator) for c, x in entries.items()})
+    a, pivots = _gauss_jordan(sparse, n)
     if len(pivots) < n:
         raise SingularMatrixError("matrix is singular")
     return [[Fraction(row.get(n + j, 0), row[i]) for j in range(n)]
             for i, row in enumerate(a)]
 
 
-def solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> Optional[list[Fraction]]:
-    """One exact solution of A x = b (free variables set to 0), or None."""
-    if not rows:
-        return [] if not any(rhs) else None
-    n = len(rows[0])
-    a, pivots = _gauss_jordan([[*row, v] for row, v in zip(rows, rhs, strict=True)], n)
+def solve_linear(rows: Sequence[dict[int, int]], rhs: Sequence[int], ncols: int
+                 ) -> Optional[list[Fraction]]:
+    """One exact solution x of A x = b, or None if there is none.
+
+    Row r of A is ``rows[r]``, a dict from column (0 to ``ncols - 1``) to
+    nonzero int; a column no row mentions is 0 throughout.  ``rhs`` is b,
+    dense ints, one per row (ValueError otherwise).  Free variables are set
+    to 0, and the solution has ``ncols`` entries."""
+    a, pivots = _gauss_jordan(
+        ({**row, ncols: v} if v else row for row, v in zip(rows, rhs, strict=True)), ncols)
     if len(a) > len(pivots):
         return None
-    x = [Fraction(0)] * n
+    x = [Fraction(0)] * ncols
     for row, c in zip(a, pivots):
-        x[c] = Fraction(row.get(n, 0), row[c])
+        x[c] = Fraction(row.get(ncols, 0), row[c])
     return x

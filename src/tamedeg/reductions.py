@@ -86,15 +86,18 @@ def bounded_reduction_search(f_map: PolyMap, i: int, degy_bound: int,
             bracket = int(report.bracket_degree)
             prune = lambda t: su_lower_bound(int(d_lo), int(d_hi), bracket, t) > d_target
 
-    # Powers of X = lo and Y = hi, and their products, are built when a
-    # class that is not pruned first reads them, and kept for the later
-    # classes; a class solved at t_max = 0 builds no power of Y.  A product
-    # with exponent 0 on one side is the other side's power itself.
+    # Powers of X = lo are built in full before the first class.  Powers of
+    # Y = hi, and the products X^s Y^t, are built when a class that is not
+    # pruned first reads them; a class solved at t_max = 0 builds no power
+    # of Y.  A product with exponent 0 on one side is the other side's power
+    # itself.  Of each product only its denominator and its monomials of
+    # degree >= deg F_i are kept for the later classes.
     pow_lo = [Polynomial.constant(3, 1), lo]
     while len(pow_lo) * d_lo <= deg_bound:
         pow_lo.append(pow_lo[-1] * lo)
     pow_hi = [pow_lo[0]]
-    built: dict[tuple[int, int], Polynomial] = {}
+    tops: dict[tuple[int, int], tuple[int, list]] = {}
+    top = {exps: v for exps, v in target.numerators.items() if sum(exps) >= d_target}
 
     for t_max in range(min(degy_bound, deg_bound // d_hi) + 1):
         if prune is not None and prune(t_max):
@@ -105,57 +108,37 @@ def bounded_reduction_search(f_map: PolyMap, i: int, degy_bound: int,
                    if s * d_lo + t * d_hi <= deg_bound]
         while len(pow_hi) <= t_max:
             pow_hi.append(pow_hi[-1] * hi)
-        for s, t in support:
-            if (s, t) not in built:
-                built[s, t] = (pow_hi[t] if not s else pow_lo[s] if not t
-                               else pow_lo[s] * pow_hi[t])
-        products = [built[st] for st in support]
-        # kill every monomial of degree >= deg F_i in F_i - sum c_m * product_m
-        rows_index: dict[tuple, int] = {}
-        for p in products + [target]:
-            for exps in p.numerators:
-                if sum(exps) >= d_target:
-                    rows_index.setdefault(exps, len(rows_index))
-        # Column m holds the numerators of product m and the right-hand side
-        # those of F_i, so the system's solution is c_m scaled by
-        # den(F_i) / den(product m); scaling columns keeps the pivots.
-        matrix = [[0] * len(support) for _ in rows_index]
-        rhs = [0] * len(rows_index)
-        for col, p in enumerate(products):
-            for exps, v in p.numerators.items():
-                r = rows_index.get(exps)
-                if r is not None:
-                    matrix[r][col] = v
-        for exps, v in target.numerators.items():
-            r = rows_index.get(exps)
-            if r is not None:
-                rhs[r] = v
-        solution = solve_linear(matrix, rhs)
+        # Kill every monomial of degree >= deg F_i in F_i - sum c_m X^s Y^t:
+        # one sparse row per such monomial.  Column m holds the numerators
+        # of product m and the right-hand side those of F_i, so the system's
+        # solution is c_m scaled by den(F_i) / den(product m); scaling
+        # columns keeps the pivots.  A product of degree s*d_lo + t*d_hi
+        # below deg F_i has no entry in any row: its c_m is free and 0.
+        rows: dict[tuple, dict[int, int]] = {}
+        for col, (s, t) in enumerate(support):
+            if s * d_lo + t * d_hi < d_target:
+                continue
+            if (s, t) not in tops:
+                p = (pow_hi[t] if not s else pow_lo[s] if not t
+                     else pow_lo[s] * pow_hi[t])
+                tops[s, t] = p.denominator, [
+                    (exps, v) for exps, v in p.numerators.items() if sum(exps) >= d_target]
+            for exps, v in tops[s, t][1]:
+                rows.setdefault(exps, {})[col] = v
+        for exps in top:
+            rows.setdefault(exps, {})
+        solution = solve_linear(list(rows.values()), [top.get(exps, 0) for exps in rows],
+                                len(support))
         if solution is None:
             continue
         terms = {}
-        for (s, t), p, c in zip(support, products, solution):
+        for (s, t), c in zip(support, solution):
             if c:
                 exps = (t, s) if transposed else (s, t)
-                terms[exps] = c * p.denominator / target.denominator
+                terms[exps] = c * tops[s, t][0] / target.denominator
         g = Polynomial(2, terms)
         ok, achieved = check_elementary_reduction(f_map, ReductionCandidate(i, g))
         if ok:
             return ReductionCandidate(i, g, achieved)
     return None
 
-
-def type3_shape(d1: int, d2: int, d3: int) -> bool:
-    """Necessary degree shape for a type-III reduction of a sorted triple:
-    d2 = 2n and either (d3 = 3n with n < d1 <= 3n/2) or
-    (5n/2 < d3 <= 3n with d1 = 3n/2)."""
-    if not 1 <= d1 <= d2 <= d3:
-        raise ValueError("need a positive sorted triple")
-    if d2 % 2:
-        return False
-    n = d2 // 2
-    if d3 == 3 * n and n < d1 and 2 * d1 <= 3 * n:
-        return True
-    if 2 * d3 > 5 * n and d3 <= 3 * n and 2 * d1 == 3 * n:
-        return True
-    return False

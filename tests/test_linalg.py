@@ -5,10 +5,13 @@ rows.
 They are checked against the ``Fraction`` Gauss-Jordan elimination they
 replaced, kept below as the oracle: equal solution vectors (free variables
 included), ``None`` on the same inconsistent systems and
-``SingularMatrixError`` on the same singular matrices.
+``SingularMatrixError`` on the same singular matrices.  ``solve_linear``
+takes sparse integer rows, so each dense system is given to it with every
+row, right-hand side included, scaled by the lcm of its denominators
+(``cleared``); scaling a row does not change the solution.
 """
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 import pytest
@@ -51,13 +54,13 @@ def oracle_invert_matrix(rows: Sequence[Sequence]) -> list[list[Fraction]]:
     return inv
 
 
-def oracle_solve_linear(rows: Sequence[Sequence], rhs: Sequence) -> Optional[list[Fraction]]:
-    """One exact solution of A x = b (free variables set to 0), or None."""
+def oracle_solve_linear(rows: Sequence[Sequence], rhs: Sequence, ncols: int
+                        ) -> Optional[list[Fraction]]:
+    """One exact solution of A x = b (free variables set to 0), or None;
+    A is m x ``ncols``."""
     a = _frac_rows(rows)
     b = [Fraction(v) for v in rhs]
-    if not a:
-        return [] if not any(b) else None
-    m, n = len(a), len(a[0])
+    m, n = len(a), ncols
     pivots: list[tuple[int, int]] = []  # (row, col)
     row = 0
     for col in range(n):
@@ -128,7 +131,7 @@ def systems(draw):
         rhs = [sum((Fraction(a) * x for a, x in zip(row, x0)), Fraction(0)) for row in rows]
     else:
         rhs = [draw(entries) for _ in range(m)]
-    return rows, rhs
+    return rows, rhs, n
 
 
 @st.composite
@@ -172,11 +175,23 @@ def search_systems(draw):
         for r in draw(st.sets(st.integers(0, m - 1), min_size=1, max_size=m // 2 + 1)):
             rows[r] = [0] * n
             rhs[r] = draw(nonzero)
-    return rows, rhs
+    return rows, rhs, n
 
 
 def copied(rows):
     return [list(row) for row in rows]
+
+
+def cleared(rows, rhs):
+    """The dense system A x = b as ``solve_linear`` takes it: each row,
+    right-hand side included, times the lcm of its denominators, as a sparse
+    row (column -> nonzero int) and an int right-hand side."""
+    sparse, ints = [], []
+    for row, v in zip(rows, rhs, strict=True):
+        d = lcm(*(Fraction(x).denominator for x in (*row, v)))
+        sparse.append({c: int(x * d) for c, x in enumerate(row) if x})
+        ints.append(int(v * d))
+    return sparse, ints
 
 
 # -- tests ----------------------------------------------------------------
@@ -185,23 +200,25 @@ def copied(rows):
 @settings(max_examples=400, deadline=None)
 @given(systems())
 def test_solve_linear_matches_oracle(system):
-    rows, rhs = system
-    before = copied(rows), list(rhs)
-    expected = oracle_solve_linear(rows, rhs)
-    got = solve_linear(rows, rhs)
+    rows, rhs, n = system
+    sparse, ints = cleared(rows, rhs)
+    before = [dict(row) for row in sparse], list(ints)
+    expected = oracle_solve_linear(rows, rhs, n)
+    got = solve_linear(sparse, ints, n)
     assert got == expected
     if got is not None:
-        assert all(type(v) is Fraction for v in got)
-    assert (copied(rows), list(rhs)) == before
+        assert len(got) == n and all(type(v) is Fraction for v in got)
+    assert ([dict(row) for row in sparse], list(ints)) == before
 
 
 @settings(max_examples=200, deadline=None)
 @given(search_systems())
 def test_search_shaped_systems_match_oracle(system):
-    rows, rhs = system
-    before = copied(rows), list(rhs)
-    assert solve_linear(rows, rhs) == oracle_solve_linear(rows, rhs)
-    assert (copied(rows), list(rhs)) == before
+    rows, rhs, n = system
+    sparse, ints = cleared(rows, rhs)
+    before = [dict(row) for row in sparse], list(ints)
+    assert solve_linear(sparse, ints, n) == oracle_solve_linear(rows, rhs, n)
+    assert ([dict(row) for row in sparse], list(ints)) == before
 
 
 @settings(max_examples=300, deadline=None)
@@ -227,7 +244,7 @@ def test_reduced_rows_are_primitive(case):
     """Dividing every new row by its content keeps each row the primitive
     integer multiple of the Fraction elimination's row."""
     n, rows = case
-    a, pivots = _gauss_jordan(rows, n)
+    a, pivots = _gauss_jordan(cleared(rows, [0] * len(rows))[0], n)
     for row in a:
         assert all(type(x) is int and x for x in row.values())
         assert gcd(*row.values()) == 1
@@ -237,15 +254,17 @@ def test_reduced_rows_are_primitive(case):
 
 
 def test_fixed_cases():
-    assert solve_linear([], []) == []
-    assert solve_linear([], [0, 0]) == []
-    assert solve_linear([], [1]) is None
-    assert solve_linear([[0, 0], [0, 0]], [0, 0]) == [0, 0]
-    assert solve_linear([[0, 0], [0, 0]], [0, 5]) is None
+    assert solve_linear([], [], 0) == []
+    assert solve_linear([{}, {}], [0, 0], 0) == []
+    assert solve_linear([{}], [1], 0) is None
+    assert solve_linear([{}, {}], [0, 0], 2) == [0, 0]
+    assert solve_linear([{}, {}], [0, 5], 2) is None
     # free variable x1 set to 0; x0 and x2 from the pivots
-    assert solve_linear([[2, 4, 0], [0, 0, 3], [2, 4, 3]], [6, 1, 7]) == [3, 0, Fraction(1, 3)]
-    assert solve_linear([[1, 1], [1, 1]], [1, 2]) is None
-    assert solve_linear([[Fraction(1, 2), Fraction(1, 3)]], [1]) == [2, 0]
+    assert solve_linear([{0: 2, 1: 4}, {2: 3}, {0: 2, 1: 4, 2: 3}], [6, 1, 7], 3) == [
+        3, 0, Fraction(1, 3)]
+    assert solve_linear([{0: 1, 1: 1}, {0: 1, 1: 1}], [1, 2], 2) is None
+    # [1/2, 1/3] x = 1, its row scaled by 6
+    assert solve_linear([{0: 3, 1: 2}], [6], 2) == [2, 0]
     assert invert_matrix([]) == []
     assert invert_matrix([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
     assert invert_matrix([[0, Fraction(1, 2)], [4, 0]]) == [[0, Fraction(1, 4)], [2, 0]]
@@ -264,6 +283,22 @@ def test_non_square_matrix(rows):
 
 def test_rhs_length_must_match_rows():
     with pytest.raises(ValueError):
-        solve_linear([[1, 0], [0, 1]], [1])
+        solve_linear([{0: 1}, {1: 1}], [1], 2)
     with pytest.raises(ValueError):
-        solve_linear([[1, 0], [0, 1]], [1, 2, 3])
+        solve_linear([{0: 1}, {1: 1}], [1, 2, 3], 2)
+
+
+def test_row_without_columns():
+    # 0 = 3 among consistent rows: no solution
+    assert solve_linear([{0: 1}, {}, {1: 2}], [2, 3, 4], 2) is None
+    assert solve_linear([{}], [-1], 3) is None
+    # 0 = 0 constrains nothing
+    assert solve_linear([{0: 1}, {}], [2, 0], 2) == [2, 0]
+
+
+def test_unmentioned_columns_are_free_and_zero():
+    # columns 1 and 3 are in no row: free, set to 0, and the solution still
+    # has an entry for the last column
+    assert solve_linear([{0: 2, 2: 4}, {2: 3}], [10, 6], 4) == [1, 0, 2, 0]
+    assert solve_linear([{1: 5}], [5], 6) == [0, 1, 0, 0, 0, 0]
+    assert solve_linear([], [], 3) == [0, 0, 0]

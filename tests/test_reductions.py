@@ -9,11 +9,27 @@ from tamedeg.linalg import solve_linear
 from tamedeg.maps import PolyMap, gallery
 from tamedeg.poly import Polynomial, parse_poly
 from tamedeg.reductions import (ReductionCandidate, bounded_reduction_search,
-                                check_elementary_reduction, type3_shape)
+                                check_elementary_reduction)
 
 
 def p(text):
     return parse_poly(text, n=3)
+
+
+def type3_shape(d1: int, d2: int, d3: int) -> bool:
+    """The paper's necessary degree shape for a type-III reduction of a
+    sorted triple: d2 = 2n and either (d3 = 3n with n < d1 <= 3n/2) or
+    (5n/2 < d3 <= 3n with d1 = 3n/2)."""
+    if not 1 <= d1 <= d2 <= d3:
+        raise ValueError("need a positive sorted triple")
+    if d2 % 2:
+        return False
+    n = d2 // 2
+    if d3 == 3 * n and n < d1 and 2 * d1 <= 3 * n:
+        return True
+    if 2 * d3 > 5 * n and d3 <= 3 * n and 2 * d1 == 3 * n:
+        return True
+    return False
 
 
 class TestCheck:
@@ -153,9 +169,9 @@ def test_class_zero_builds_no_power_of_y(monkeypatch):
     monkeypatch.setattr(Polynomial, "__mul__", recorded)
     solves = []
 
-    def counted_solve(rows, rhs):
-        solves.append(len(rows[0]))
-        return solve_linear(rows, rhs)
+    def counted_solve(rows, rhs, ncols):
+        solves.append(ncols)
+        return solve_linear(rows, rhs, ncols)
     monkeypatch.setattr(reductions, "solve_linear", counted_solve)
     cand = bounded_reduction_search(m, 0, 4, 12)
     assert cand.g == Polynomial(2, {(3, 0): 1})
