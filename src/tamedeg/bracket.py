@@ -116,13 +116,3 @@ def su_lower_bound(deg_f: int, deg_g: int, bracket_deg: int, degy_g: int) -> int
     q, r = divmod(degy_g, p)
     return q * (p * deg_g - deg_g - deg_f + bracket_deg) + r * deg_g
 
-
-def confined_to_first_two(f: Polynomial, g: Polynomial) -> bool:
-    """Bracket-degree-2 pairs with linear parts x1, x2 live in C[x1,x2].
-
-    Returns True when the implication holds for this pair: either
-    deg[f,g] != 2, or both polynomials only involve the first two variables.
-    """
-    if poisson_degree(f, g) != 2:
-        return True
-    return f.variables() | g.variables() <= {0, 1}

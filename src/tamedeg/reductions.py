@@ -14,12 +14,12 @@ from typing import Optional
 from .bracket import poisson_degree, reduced_pair_report, su_lower_bound  # noqa: F401
 from .linalg import solve_linear
 from .maps import PolyMap
-from .poly import NEG_INF, Polynomial
+from .poly import NEG_INF, Polynomial, _layout, _mul_packed, _pack
 
 # The largest composition-degree bound the CLI searches up to.  One Y-degree
-# class has a row per monomial of degree at most the bound and a column per
-# product within it, so the search's time and memory grow without limit in
-# the bound.
+# class has a row per monomial of degree from deg F_i up to the bound and a
+# column per product within it, so the search's time and memory grow
+# without limit in the bound.
 MAX_DEG_BOUND = 40
 
 
@@ -86,18 +86,30 @@ def bounded_reduction_search(f_map: PolyMap, i: int, degy_bound: int,
             bracket = int(report.bracket_degree)
             prune = lambda t: su_lower_bound(int(d_lo), int(d_hi), bracket, t) > d_target
 
+    # One graded layout for the whole search: a field per variable and the
+    # total degree in a field above them.  No power or product built below
+    # has degree above deg_bound, and none packed has degree above deg F_i
+    # or deg Y, so fields that wide never carry, and a key is >= floor
+    # exactly when its monomial has degree >= deg F_i.
+    shifts, _ = _layout(f_map.n + 1, max(deg_bound, d_target, d_hi).bit_length())
+    floor = d_target << shifts[-1]
+
+    def packed(p: Polynomial) -> dict[int, int]:
+        return _pack({exps + (sum(exps),): v for exps, v in p.numerators.items()}, shifts)
+
     # Powers of X = lo are built in full before the first class.  Powers of
     # Y = hi, and the products X^s Y^t, are built when a class that is not
     # pruned first reads them; a class solved at t_max = 0 builds no power
-    # of Y.  A product with exponent 0 on one side is the other side's power
-    # itself.  Of each product only its denominator and its monomials of
-    # degree >= deg F_i are kept for the later classes.
-    pow_lo = [Polynomial.constant(3, 1), lo]
+    # of Y.  No product has a constant factor: a product with exponent 0 on
+    # one side is the other side's power itself.  Of each product only its
+    # monomials of degree >= deg F_i are kept for the later classes.
+    one, x, y = {0: 1}, packed(lo), packed(hi)
+    pow_lo = [one, x]
     while len(pow_lo) * d_lo <= deg_bound:
-        pow_lo.append(pow_lo[-1] * lo)
-    pow_hi = [pow_lo[0]]
-    tops: dict[tuple[int, int], tuple[int, list]] = {}
-    top = {exps: v for exps, v in target.numerators.items() if sum(exps) >= d_target}
+        pow_lo.append(_mul_packed(pow_lo[-1], x))
+    pow_hi = [one, y]
+    tops: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    top = {key: v for key, v in packed(target).items() if key >= floor}
 
     for t_max in range(min(degy_bound, deg_bound // d_hi) + 1):
         if prune is not None and prune(t_max):
@@ -107,27 +119,27 @@ def bounded_reduction_search(f_map: PolyMap, i: int, degy_bound: int,
                    for s in range(len(pow_lo))
                    if s * d_lo + t * d_hi <= deg_bound]
         while len(pow_hi) <= t_max:
-            pow_hi.append(pow_hi[-1] * hi)
+            pow_hi.append(_mul_packed(pow_hi[-1], y))
         # Kill every monomial of degree >= deg F_i in F_i - sum c_m X^s Y^t:
-        # one sparse row per such monomial.  Column m holds the numerators
-        # of product m and the right-hand side those of F_i, so the system's
-        # solution is c_m scaled by den(F_i) / den(product m); scaling
-        # columns keeps the pivots.  A product of degree s*d_lo + t*d_hi
-        # below deg F_i has no entry in any row: its c_m is free and 0.
-        rows: dict[tuple, dict[int, int]] = {}
+        # one sparse row per such monomial, keyed by its packed key.  Column
+        # m holds the numerators of product m and the right-hand side those
+        # of F_i, so the system's solution is c_m scaled by
+        # den(F_i) / (den(X)^s den(Y)^t); scaling columns keeps the pivots.
+        # A product of degree s*d_lo + t*d_hi below deg F_i has no entry in
+        # any row: its c_m is free and 0.
+        rows: dict[int, dict[int, int]] = {}
         for col, (s, t) in enumerate(support):
             if s * d_lo + t * d_hi < d_target:
                 continue
             if (s, t) not in tops:
                 p = (pow_hi[t] if not s else pow_lo[s] if not t
-                     else pow_lo[s] * pow_hi[t])
-                tops[s, t] = p.denominator, [
-                    (exps, v) for exps, v in p.numerators.items() if sum(exps) >= d_target]
-            for exps, v in tops[s, t][1]:
-                rows.setdefault(exps, {})[col] = v
-        for exps in top:
-            rows.setdefault(exps, {})
-        solution = solve_linear(list(rows.values()), [top.get(exps, 0) for exps in rows],
+                     else _mul_packed(pow_lo[s], pow_hi[t]))
+                tops[s, t] = [(key, v) for key, v in p.items() if key >= floor]
+            for key, v in tops[s, t]:
+                rows.setdefault(key, {})[col] = v
+        for key in top:
+            rows.setdefault(key, {})
+        solution = solve_linear(list(rows.values()), [top.get(key, 0) for key in rows],
                                 len(support))
         if solution is None:
             continue
@@ -135,10 +147,10 @@ def bounded_reduction_search(f_map: PolyMap, i: int, degy_bound: int,
         for (s, t), c in zip(support, solution):
             if c:
                 exps = (t, s) if transposed else (s, t)
-                terms[exps] = c * tops[s, t][0] / target.denominator
+                terms[exps] = (c * lo.denominator ** s * hi.denominator ** t
+                               / target.denominator)
         g = Polynomial(2, terms)
         ok, achieved = check_elementary_reduction(f_map, ReductionCandidate(i, g))
         if ok:
             return ReductionCandidate(i, g, achieved)
     return None
-

@@ -3,9 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from tamedeg.bracket import (confined_to_first_two, is_power_proportional,
-                             jac_minor, poisson_degree, reduced_pair_report,
-                             su_lower_bound)
+from tamedeg.bracket import (is_power_proportional, jac_minor, poisson_degree,
+                             reduced_pair_report, su_lower_bound)
 from tamedeg.maps import affine, compose_all, elementary
 from tamedeg.poly import NEG_INF, Polynomial, parse_poly
 
@@ -22,6 +21,13 @@ def random_poly(rng, n=3, max_deg=3, max_terms=4):
             exps[rng.randrange(n)] += 1
         terms[tuple(exps)] = Fraction(rng.randrange(-4, 5) or 1)
     return Polynomial(n, terms)
+
+
+def confined_to_first_two(f: Polynomial, g: Polynomial) -> bool:
+    """Bracket-degree-2 pairs with linear parts x1, x2 live in C[x1,x2]:
+    True when the implication holds for this pair, that is either
+    deg[f,g] != 2 or both polynomials involve only the first two variables."""
+    return poisson_degree(f, g) != 2 or f.variables() | g.variables() <= {0, 1}
 
 
 class TestMinors:

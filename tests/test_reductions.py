@@ -136,37 +136,41 @@ class TestTypeThreeShape:
 
 
 def test_powers_of_y_stop_at_degy_bound(monkeypatch):
-    # Y = x^2 + y is the higher-degree non-target component; deg_bound 12
-    # would allow Y^6, but no support uses a power of Y above degy_bound
+    # Y = x^2 + y is the higher-degree non-target component and X = x;
+    # deg_bound 12 would allow Y^6, but no product uses a power of Y above
+    # degy_bound.  X^s Y^t has t + 1 terms, so the largest product built
+    # tells the largest power of Y.  Nothing solves the class, and the
+    # leading form of Y is a power of X's, so no class is pruned.
     m = PolyMap((p("z"), p("x"), p("x^2 + y")))
-    hi = m.components[2]
-    powers_built = []
-    original = Polynomial.__mul__
+    original = reductions._mul_packed
+    for degy_bound in (1, 2, 3):
+        sizes = []
 
-    def counted(self, other):
-        if other is hi:
-            powers_built.append(self)
-        return original(self, other)
-    monkeypatch.setattr(Polynomial, "__mul__", counted)
-    bounded_reduction_search(m, 0, 1, 12)
-    assert len(powers_built) == 1
+        def counted(a, b):
+            product = original(a, b)
+            sizes.append(len(product))
+            return product
+        monkeypatch.setattr(reductions, "_mul_packed", counted)
+        assert bounded_reduction_search(m, 0, degy_bound, 12) is None
+        assert max(sizes) == degy_bound + 1
 
 
 def test_class_zero_builds_no_power_of_y(monkeypatch):
     # F_1 - X^3 = z with X = F_2 = x is solved in class t_max = 0, so no
     # power of Y = F_3 is built, and a product with exponent 0 on one side
     # is taken as it is, not multiplied by the constant 1.  X and Y have
-    # equal degrees, so no pruning bound is computed and every product
-    # recorded is the search's own.
+    # equal degrees, so no pruning bound is computed.  Every product is a
+    # power of X: its operands are X itself or earlier products, and none
+    # is the constant, whose only packed key is 0.
     m = PolyMap((p("z + x^3"), p("x"), p("y")))
-    hi = m.components[2]
-    operands = []
-    original = Polynomial.__mul__
+    operands, products = [], []
+    original = reductions._mul_packed
 
-    def recorded(self, other):
-        operands.append((self, other))
-        return original(self, other)
-    monkeypatch.setattr(Polynomial, "__mul__", recorded)
+    def recorded(a, b):
+        operands.extend((a, b))
+        products.append(original(a, b))
+        return products[-1]
+    monkeypatch.setattr(reductions, "_mul_packed", recorded)
     solves = []
 
     def counted_solve(rows, rhs, ncols):
@@ -176,7 +180,7 @@ def test_class_zero_builds_no_power_of_y(monkeypatch):
     cand = bounded_reduction_search(m, 0, 4, 12)
     assert cand.g == Polynomial(2, {(3, 0): 1})
     assert solves == [13]  # one class: X^0..X^12
-    assert operands
-    for a, b in operands:
-        assert a.total_degree() > 0 and b.total_degree() > 0
-        assert a is not hi and b is not hi
+    assert len(products) == 11  # X^2..X^12
+    assert all(max(a) > 0 for a in operands)
+    built = {id(q) for q in products}
+    assert len({id(a) for a in operands if id(a) not in built}) == 1
