@@ -15,7 +15,12 @@ numerators and denominators (Bareiss 1968, Math. Comp. 22, bounds the
 growth).  Rows are brought to echelon form one at a time, then the pivot
 columns are cleared from the last pivot back to the first.  The reduced row
 echelon form is unique, so this order gives the same pivots and solutions as
-any other.  Fractions are built only when the answer is read off.
+any other.  A row with a single entry whose column an earlier single-entry
+row already had is a multiple of that row, so it is dropped unread: the row
+space, and with it the reduced form, stays the same.  The reduction search's
+systems are mostly such rows: a monomial that only one product reaches,
+and that F_i lacks, gives one, and a product reaches many such monomials.
+Fractions are built only when the answer is read off.
 """
 from __future__ import annotations
 
@@ -55,10 +60,21 @@ def _gauss_jordan(rows: Iterable[dict[int, int]], ncols: int
     sparse primitive integer rows, and the pivot columns: row r holds the
     pivot of column ``pivots[r]``; the rows past the rank are the nonzero
     rows left, none of them with an entry in the first ``ncols`` columns.
-    Zero rows are dropped."""
+    Zero rows are dropped, and so is a one-entry row {c: v} after the first
+    one-entry row in column c: it is a multiple of that row, so the row
+    space and the unique reduced form are the same without it.  There may
+    then be fewer rows past the rank, but there are some exactly when there
+    were before.  Only the column of an input one-entry row counts, not
+    that of a pivot: a pivot row with more entries does not span {c: 1}."""
     echelon: dict[int, dict[int, int]] = {}  # leading column -> row
     rest = []
+    seen = set()  # columns of the one-entry rows taken so far
     for row in rows:
+        if len(row) == 1:
+            (col,) = row
+            if col in seen:
+                continue
+            seen.add(col)
         while row:
             col = min(row)
             if col >= ncols:

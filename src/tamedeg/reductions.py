@@ -8,6 +8,7 @@ deg F_i.  "Absent" means "not found within bounds", nothing stronger.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Optional
 
 # poisson_degree is not called here; bench/spans.py times it at this name
@@ -21,6 +22,13 @@ from .poly import NEG_INF, Polynomial, _layout, _mul_packed, _pack
 # column per product within it, so the search's time and memory grow
 # without limit in the bound.
 MAX_DEG_BOUND = 40
+
+# The most cells a search may set up: the columns of its largest Y-degree
+# class times the monomials of degree from deg F_i up to the bound, which
+# bounds that class's rows.  Within MAX_DEG_BOUND a search of linear
+# components still reaches 10,624,740 cells (87 s); the planted maps of the
+# benchmark reach 1,887,561.
+MAX_SEARCH_CELLS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -77,6 +85,12 @@ def bounded_reduction_search(f_map: PolyMap, i: int, degy_bound: int,
     d_lo, d_hi = lo.total_degree(), hi.total_degree()
     if d_lo < 1 or d_hi < 1:
         return None
+    columns = sum((deg_bound - t * d_hi) // d_lo + 1
+                  for t in range(min(degy_bound, deg_bound // d_hi) + 1))
+    rows = comb(deg_bound + f_map.n, f_map.n) - comb(d_target - 1 + f_map.n, f_map.n)
+    if columns * rows > MAX_SEARCH_CELLS:
+        raise ValueError(f"reduction search may exceed {MAX_SEARCH_CELLS} cells "
+                         f"({columns} products x {rows} monomials)")
 
     prune = None
     if d_lo < d_hi:

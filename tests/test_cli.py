@@ -320,6 +320,18 @@ class TestReduce:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == f"usage error: --deg-bound must be at most {MAX_DEG_BOUND}\n"
 
+    def test_search_cells_limit(self, capsys, tmp_path, monkeypatch):
+        # linear components at the largest bounds: refused before any power
+        # of X or Y is built (it took 87 s and printed "not found")
+        path = tmp_path / "linear.json"
+        path.write_text(json.dumps(
+            {"n": 3, "components": ["x + y + z", "x + 2*y + 3*z", "z + 5*x + 7*y"]}))
+        monkeypatch.setattr(reductions, "_mul_packed", None)
+        assert run(capsys, "reduce", "--map", str(path), "--target", "3",
+                   "--degy-bound", "40", "--deg-bound", "40") == (
+            EXIT_USAGE, "", "error: reduction search may exceed 4000000 cells "
+                            "(861 products x 12340 monomials)\n")
+
 
 class TestEnumerate:
     def test_csv_shape(self, capsys):

@@ -20,6 +20,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from tamedeg import linalg  # noqa: E402
 from tamedeg.linalg import (SingularMatrixError, _gauss_jordan,  # noqa: E402
                             invert_matrix, solve_linear)
 
@@ -178,6 +179,38 @@ def search_systems(draw):
     return rows, rhs, n
 
 
+@st.composite
+def repeated_unit_systems(draw):
+    """Systems shaped like the reduction search's: most rows have a single
+    entry, in a few columns, so each such column recurs with other values;
+    a few rows have several entries, and in some draws rows that are zero
+    in A but not in b are mixed in; all in random order.  b = A x0 for an
+    x0 with zeros (a single-entry row stays single-entry where x0 is 0), or
+    arbitrary on the rows with several entries."""
+    n = draw(st.integers(1, 10))
+    units = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=40))
+    rows = []
+    for c in units:
+        rows.append([0] * n)
+        rows[-1][c] = draw(nonzero)
+    for _ in range(draw(st.integers(0, 4))):
+        rows.append([0] * n)
+        for c in draw(st.sets(st.integers(0, n - 1), min_size=min(n, 2), max_size=4)):
+            rows[-1][c] = draw(nonzero)
+    if draw(st.booleans()):
+        x0 = [draw(st.sampled_from([0, 0, 1, -2, Fraction(3, 5)])) for _ in range(n)]
+        rhs = [sum(a * x for a, x in zip(row, x0)) for row in rows]
+    else:
+        rhs = [0] * len(units) + [draw(st.integers(-5, 5))
+                                  for _ in range(len(rows) - len(units))]
+    if draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 3))):
+            rows.append([0] * n)
+            rhs.append(draw(nonzero))
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[r] for r in order], [rhs[r] for r in order], n
+
+
 def copied(rows):
     return [list(row) for row in rows]
 
@@ -219,6 +252,14 @@ def test_search_shaped_systems_match_oracle(system):
     before = [dict(row) for row in sparse], list(ints)
     assert solve_linear(sparse, ints, n) == oracle_solve_linear(rows, rhs, n)
     assert ([dict(row) for row in sparse], list(ints)) == before
+
+
+@settings(max_examples=300, deadline=None)
+@given(repeated_unit_systems())
+def test_repeated_unit_rows_match_oracle(system):
+    rows, rhs, n = system
+    sparse, ints = cleared(rows, rhs)
+    assert solve_linear(sparse, ints, n) == oracle_solve_linear(rows, rhs, n)
 
 
 @settings(max_examples=300, deadline=None)
@@ -302,3 +343,27 @@ def test_unmentioned_columns_are_free_and_zero():
     assert solve_linear([{0: 2, 2: 4}, {2: 3}], [10, 6], 4) == [1, 0, 2, 0]
     assert solve_linear([{1: 5}], [5], 6) == [0, 1, 0, 0, 0, 0]
     assert solve_linear([], [], 3) == [0, 0, 0]
+
+
+def test_unit_row_under_a_wider_pivot():
+    # column 0's pivot is x0 + x1, which does not span (1, 0): the later
+    # row 2*x0 = 0 must still be eliminated, giving x1 = 3
+    assert solve_linear([{0: 1, 1: 1}, {0: 2}], [3, 0], 2) == [0, 3]
+    assert solve_linear([{0: 1, 1: 1}, {0: 2}, {0: -1}], [3, 0, 0], 2) == [0, 3]
+
+
+def test_repeated_rows_without_columns():
+    # 0 = 1 and 0 = 2: one of them is enough to see that nothing solves it
+    assert solve_linear([{}, {}, {0: 1}], [1, 2, 3], 1) is None
+    assert solve_linear([{0: 1}, {}, {}, {}], [2, 5, -5, 5], 2) is None
+
+
+def test_repeated_unit_row_is_not_eliminated(monkeypatch):
+    calls = []
+    eliminate = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda *a: calls.append(a) or eliminate(*a))
+    assert solve_linear([{0: 2}, {1: 1}, {0: -3}, {1: 7}, {0: 5}], [0, 0, 0, 0, 0], 2) == [0, 0]
+    assert calls == []
+    # a one-entry row with a right-hand side has two entries: eliminated
+    assert solve_linear([{0: 2}, {0: 3}], [4, 6], 1) == [2]
+    assert len(calls) == 1

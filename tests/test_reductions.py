@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import planted_map
-from tamedeg import reductions
+from tamedeg import linalg, reductions
 from tamedeg.linalg import solve_linear
 from tamedeg.maps import PolyMap, gallery
 from tamedeg.poly import Polynomial, parse_poly
@@ -184,3 +184,61 @@ def test_class_zero_builds_no_power_of_y(monkeypatch):
     assert all(max(a) > 0 for a in operands)
     built = {id(q) for q in products}
     assert len({id(a) for a in operands if id(a) not in built}) == 1
+
+
+def test_found_search_eliminates_no_repeated_unit_row(monkeypatch):
+    # X = y + x^2 and Y = z + 2*x^2 + y have proportional leading forms, so
+    # 2*X^2*Y^2 is found in the class of Y-degree 0 as 8*X^4.  The powers of
+    # X share no monomial of degree >= 8, so every row of that class has a
+    # single product entry and each later one-entry row repeats a column:
+    # the search eliminated 194 rows before such rows were dropped.
+    m = PolyMap((p("x + 2*(y + x^2)^2*(z + 2*x^2 + y)^2"), p("y + x^2"),
+                 p("z + 2*x^2 + y")))
+    calls = []
+    eliminate = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda *a: calls.append(a) or eliminate(*a))
+    cand = bounded_reduction_search(m, 0, 8, 40)
+    assert cand.g == Polynomial(2, {(4, 0): 8})
+    assert cand.achieved_degree == 7
+    assert calls == []
+
+
+LINEAR = ("x + y + z", "x + 2*y + 3*z", "z + 5*x + 7*y")
+
+
+def test_search_cells_bound_before_any_power(monkeypatch):
+    # deg X = deg Y = 1: 861 products X^s Y^t of degree <= 40, and 12,340
+    # monomials of degree 1 to 40 in x, y, z (87 s when it was searched)
+    def refused(a, b):
+        raise AssertionError("a power was built")
+    monkeypatch.setattr(reductions, "_mul_packed", refused)
+    m = PolyMap(tuple(p(c) for c in LINEAR))
+    with pytest.raises(ValueError, match=r"^reduction search may exceed 4000000 cells "
+                                         r"\(861 products x 12340 monomials\)$"):
+        bounded_reduction_search(m, 2, 40, 40)
+
+
+def test_search_cells_estimate(monkeypatch):
+    # degy_bound 2, deg_bound 4: 5 + 4 + 3 products, C(7, 3) - 1 = 34
+    # monomials of degree 1 to 4; the bound is inclusive
+    m = PolyMap(tuple(p(c) for c in LINEAR))
+    monkeypatch.setattr(reductions, "MAX_SEARCH_CELLS", 12 * 34)
+    assert bounded_reduction_search(m, 2, 2, 4) is None
+    monkeypatch.setattr(reductions, "MAX_SEARCH_CELLS", 12 * 34 - 1)
+    with pytest.raises(ValueError, match=r"\(12 products x 34 monomials\)$"):
+        bounded_reduction_search(m, 2, 2, 4)
+
+
+def test_benchmark_searches_within_half_the_bound(monkeypatch):
+    # the planted maps of every shape and su_example, at the bounds the
+    # benchmark searches with, estimate at most half of MAX_SEARCH_CELLS
+    monkeypatch.setattr(reductions, "MAX_SEARCH_CELLS", reductions.MAX_SEARCH_CELLS // 2)
+    base = (p("x"), p("y + x^2"), p("z + 2*x^2 + y"))
+    for s in (1, 2):
+        for t in (0, 1, 2):
+            g = Polynomial(2, {(s, t): 1})
+            m = PolyMap((base[0] + g.substitute(list(base[1:])),) + base[1:])
+            assert bounded_reduction_search(m, 0, 8, 40) is not None
+    su = gallery("su_example")
+    for i in range(3):
+        assert bounded_reduction_search(su, i, 8, 40) is None
