@@ -26,8 +26,8 @@ MAX_DEG_BOUND = 40
 # The most cells a search may set up: the columns of its largest Y-degree
 # class times the monomials of degree from deg F_i up to the bound, which
 # bounds that class's rows.  Within MAX_DEG_BOUND a search of linear
-# components still reaches 10,624,740 cells (87 s); the planted maps of the
-# benchmark reach 1,887,561.
+# components still reaches 10,624,740 cells (87 s of CPU on a shared 2-CPU
+# machine); the planted maps of the benchmark reach 1,887,561.
 MAX_SEARCH_CELLS = 4_000_000
 
 
@@ -59,7 +59,9 @@ def bounded_reduction_search(f_map: PolyMap, i: int, degy_bound: int,
                              deg_bound: int) -> Optional[ReductionCandidate]:
     """Search for a reducing g with deg_Y g <= degy_bound and composition
     degree at most deg_bound; None when nothing is found within bounds.  A
-    found candidate carries the degree its reduction achieves.
+    found candidate carries the degree its reduction achieves.  ValueError,
+    before any power is built, when the largest class may set up more than
+    MAX_SEARCH_CELLS cells.
 
     Y is the higher-degree non-target component.  Classes of fixed Y-degree
     are skipped when the reduced-pair lower bound for deg g(F_j, F_k) already
