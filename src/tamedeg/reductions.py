@@ -23,11 +23,12 @@ from .poly import NEG_INF, Polynomial, _layout, _mul_packed, _pack
 # without limit in the bound.
 MAX_DEG_BOUND = 40
 
-# The most cells a search may set up: the columns of its largest Y-degree
-# class times the monomials of degree from deg F_i up to the bound, which
-# bounds that class's rows.  Within MAX_DEG_BOUND a search of linear
-# components still reaches 10,624,740 cells (87 s of CPU on a shared 2-CPU
-# machine); the planted maps of the benchmark reach 1,887,561.
+# The most cells a search may set up, summed over the Y-degree classes it
+# solves: each class's columns times the monomials of degree from deg F_i up
+# to the bound, which bounds that class's rows.  Within MAX_DEG_BOUND a
+# search of linear components that set up every class would reach
+# 293,951,140 cells (it took 87 s of CPU on a shared 2-CPU machine); no
+# search of the benchmark sets up more than 259,077.
 MAX_SEARCH_CELLS = 4_000_000
 
 
@@ -60,8 +61,8 @@ def bounded_reduction_search(f_map: PolyMap, i: int, degy_bound: int,
     """Search for a reducing g with deg_Y g <= degy_bound and composition
     degree at most deg_bound; None when nothing is found within bounds.  A
     found candidate carries the degree its reduction achieves.  ValueError,
-    before any power is built, when the largest class may set up more than
-    MAX_SEARCH_CELLS cells.
+    before a class builds its powers of Y and products, when that class
+    would take the cells set up by the search past MAX_SEARCH_CELLS.
 
     Y is the higher-degree non-target component.  Classes of fixed Y-degree
     are skipped when the reduced-pair lower bound for deg g(F_j, F_k) already
@@ -87,12 +88,8 @@ def bounded_reduction_search(f_map: PolyMap, i: int, degy_bound: int,
     d_lo, d_hi = lo.total_degree(), hi.total_degree()
     if d_lo < 1 or d_hi < 1:
         return None
-    columns = sum((deg_bound - t * d_hi) // d_lo + 1
-                  for t in range(min(degy_bound, deg_bound // d_hi) + 1))
-    rows = comb(deg_bound + f_map.n, f_map.n) - comb(d_target - 1 + f_map.n, f_map.n)
-    if columns * rows > MAX_SEARCH_CELLS:
-        raise ValueError(f"reduction search may exceed {MAX_SEARCH_CELLS} cells "
-                         f"({columns} products x {rows} monomials)")
+    monomials = comb(deg_bound + f_map.n, f_map.n) - comb(d_target - 1 + f_map.n, f_map.n)
+    columns = 0  # summed over the classes set up so far
 
     prune = None
     if d_lo < d_hi:
@@ -134,6 +131,10 @@ def bounded_reduction_search(f_map: PolyMap, i: int, degy_bound: int,
                    for t in range(t_max + 1)
                    for s in range(len(pow_lo))
                    if s * d_lo + t * d_hi <= deg_bound]
+        columns += len(support)
+        if columns * monomials > MAX_SEARCH_CELLS:
+            raise ValueError(f"reduction search may exceed {MAX_SEARCH_CELLS} cells "
+                             f"({columns} products x {monomials} monomials)")
         while len(pow_hi) <= t_max:
             pow_hi.append(_mul_packed(pow_hi[-1], y))
         # Kill every monomial of degree >= deg F_i in F_i - sum c_m X^s Y^t:

@@ -320,17 +320,21 @@ class TestReduce:
         assert (code, out) == (EXIT_USAGE, "")
         assert err == f"usage error: --deg-bound must be at most {MAX_DEG_BOUND}\n"
 
-    def test_search_cells_limit(self, capsys, tmp_path, monkeypatch):
-        # linear components at the largest bounds: refused before any power
-        # of X or Y is built
+    def test_search_cells_limit(self, capsys, tmp_path):
+        # linear components at the largest bounds: refused before the class
+        # of Y-degree 3 is set up
         path = tmp_path / "linear.json"
         path.write_text(json.dumps(
             {"n": 3, "components": ["x + y + z", "x + 2*y + 3*z", "z + 5*x + 7*y"]}))
-        monkeypatch.setattr(reductions, "_mul_packed", None)
         assert run(capsys, "reduce", "--map", str(path), "--target", "3",
                    "--degy-bound", "40", "--deg-bound", "40") == (
             EXIT_USAGE, "", "error: reduction search may exceed 4000000 cells "
-                            "(861 products x 12340 monomials)\n")
+                            "(400 products x 12340 monomials)\n")
+        # at the same bounds a search solved in its first class is answered
+        path.write_text(json.dumps({"n": 3, "components": ["x + y^2", "y", "z"]}))
+        assert run(capsys, "reduce", "--map", str(path), "--target", "1",
+                   "--degy-bound", "8", "--deg-bound", "40") == (
+            0, "g = X^2 (reduces component 1 to degree 1)\n", "")
 
 
 class TestEnumerate:

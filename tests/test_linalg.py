@@ -244,22 +244,14 @@ def test_solve_linear_matches_oracle(system):
     assert ([dict(row) for row in sparse], list(ints)) == before
 
 
-@settings(max_examples=200, deadline=None)
-@given(search_systems())
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(search_systems(), repeated_unit_systems()))
 def test_search_shaped_systems_match_oracle(system):
     rows, rhs, n = system
     sparse, ints = cleared(rows, rhs)
     before = [dict(row) for row in sparse], list(ints)
     assert solve_linear(sparse, ints, n) == oracle_solve_linear(rows, rhs, n)
     assert ([dict(row) for row in sparse], list(ints)) == before
-
-
-@settings(max_examples=300, deadline=None)
-@given(repeated_unit_systems())
-def test_repeated_unit_rows_match_oracle(system):
-    rows, rhs, n = system
-    sparse, ints = cleared(rows, rhs)
-    assert solve_linear(sparse, ints, n) == oracle_solve_linear(rows, rhs, n)
 
 
 @settings(max_examples=300, deadline=None)

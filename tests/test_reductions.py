@@ -206,27 +206,48 @@ def test_found_search_eliminates_no_repeated_unit_row(monkeypatch):
 LINEAR = ("x + y + z", "x + 2*y + 3*z", "z + 5*x + 7*y")
 
 
-def test_search_cells_bound_before_any_power(monkeypatch):
-    # deg X = deg Y = 1: 861 products X^s Y^t of degree <= 40, and 12,340
-    # monomials of degree 1 to 40 in x, y, z
-    def refused(a, b):
-        raise AssertionError("a power was built")
-    monkeypatch.setattr(reductions, "_mul_packed", refused)
+def test_search_cells_bound_before_a_class_is_built(monkeypatch):
+    # deg X = deg Y = 1 and 12,340 monomials of degree 1 to 40 in x, y, z.
+    # Classes 0, 1, 2 set up 41 + 81 + 120 columns; class 3 would take the
+    # total to 400 columns, over the bound, so it is refused before its
+    # power of Y or its products are built.  Built before the refusal:
+    # X^2..X^40 (39), Y^2 (1) and X^s Y^t for t = 1, s <= 39 and t = 2,
+    # s <= 38 (77).
+    products, solves = [], []
+    original = reductions._mul_packed
+    monkeypatch.setattr(reductions, "_mul_packed",
+                        lambda a, b: products.append(1) or original(a, b))
+    monkeypatch.setattr(reductions, "solve_linear",
+                        lambda rows, rhs, ncols: solves.append(ncols) or solve_linear(
+                            rows, rhs, ncols))
     m = PolyMap(tuple(p(c) for c in LINEAR))
     with pytest.raises(ValueError, match=r"^reduction search may exceed 4000000 cells "
-                                         r"\(861 products x 12340 monomials\)$"):
+                                         r"\(400 products x 12340 monomials\)$"):
         bounded_reduction_search(m, 2, 40, 40)
+    assert solves == [41, 81, 120]
+    assert len(products) == 117
 
 
 def test_search_cells_estimate(monkeypatch):
-    # degy_bound 2, deg_bound 4: 5 + 4 + 3 products, C(7, 3) - 1 = 34
-    # monomials of degree 1 to 4; the bound is inclusive
+    # degy_bound 2, deg_bound 4: classes of 5, 9 and 12 products, 26 in all,
+    # and C(7, 3) - 1 = 34 monomials of degree 1 to 4; the bound is inclusive
     m = PolyMap(tuple(p(c) for c in LINEAR))
-    monkeypatch.setattr(reductions, "MAX_SEARCH_CELLS", 12 * 34)
+    monkeypatch.setattr(reductions, "MAX_SEARCH_CELLS", 26 * 34)
     assert bounded_reduction_search(m, 2, 2, 4) is None
-    monkeypatch.setattr(reductions, "MAX_SEARCH_CELLS", 12 * 34 - 1)
-    with pytest.raises(ValueError, match=r"\(12 products x 34 monomials\)$"):
+    monkeypatch.setattr(reductions, "MAX_SEARCH_CELLS", 26 * 34 - 1)
+    with pytest.raises(ValueError, match=r"\(26 products x 34 monomials\)$"):
         bounded_reduction_search(m, 2, 2, 4)
+
+
+def test_search_solved_early_is_not_refused():
+    # (x + y^2, y, z) is solved by X^2 in the class of Y-degree 0: 41
+    # products x 12,337 monomials of degree 2 to 40.  The class of Y-degree
+    # 8, which this search never sets up, would alone have 333 products,
+    # 4,108,221 cells, over the bound.
+    m = PolyMap((p("x + y^2"), p("y"), p("z")))
+    cand = bounded_reduction_search(m, 0, 8, 40)
+    assert cand.g == Polynomial(2, {(2, 0): 1})
+    assert cand.achieved_degree == 1
 
 
 def test_benchmark_searches_within_half_the_bound(monkeypatch):
