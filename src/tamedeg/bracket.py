@@ -2,8 +2,9 @@
 
 For f, g in n variables, deg[f,g] is 2 plus the maximal total degree of the
 2x2 Jacobian minors of (f,g); it is NEG_INF exactly when f and g are
-algebraically dependent.  The star-reduced predicate and the composition
-degree lower bound live here too.
+algebraically dependent.  The star-reduced predicate, the composition
+degree lower bound and ``cancel_top``, the one test of whether a form is a
+multiple of another (plane peeling uses it too), live here too.
 """
 from __future__ import annotations
 
@@ -38,6 +39,14 @@ def poisson_degree(f: Polynomial, g: Polynomial):
     return NEG_INF if best == NEG_INF else best + 2
 
 
+def cancel_top(p: Polynomial, q: Polynomial) -> tuple:
+    """(c, p - c*q) with c read at a top monomial of q: the degree of p drops
+    exactly when lead(p) = c * lead(q)."""
+    e = max(q.numerators, key=sum)
+    c = p.coefficient(e) / q.coefficient(e)
+    return c, p - q.scale(c)
+
+
 def is_power_proportional(hbar: Polynomial, fbar: Polynomial
                           ) -> Optional[tuple[Fraction, int]]:
     """(c, k) with hbar = c * fbar^k exactly, or None.
@@ -58,12 +67,8 @@ def is_power_proportional(hbar: Polynomial, fbar: Polynomial
     if dh % df:
         return None
     k = dh // df
-    power = fbar ** k
-    exps = next(iter(power.numerators))
-    c = hbar.coefficient(exps) / power.coefficient(exps)
-    if not c:
-        return None
-    return (c, k) if power.scale(c) == hbar else None
+    c, rest = cancel_top(hbar, fbar ** k)
+    return None if rest else (c, k)
 
 
 @dataclass(frozen=True)

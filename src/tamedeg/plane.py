@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bracket import is_power_proportional
+# is_power_proportional is not called here; bench/spans.py times it at this name
+from .bracket import cancel_top, is_power_proportional  # noqa: F401
 from .linalg import SingularMatrixError
 from .maps import Factor, PolyMap, affine, compose_all, elementary, identity
 from .poly import Polynomial
@@ -127,13 +128,15 @@ def peel(f_map: PolyMap) -> Decomposition:
 
     Raises NotKellerError when the Jacobian determinant is not a nonzero
     constant, and PeelStuckError when a leading-form step fails -- either way
-    the input is certifiably not an automorphism.  The Jacobian is computed
-    only once peeling has failed, or before a large power list, and of the
-    remainder where it stopped: every map peeled off has Jacobian
-    determinant 1, so by the chain rule the remainder's equals F's.
+    the input is certifiably not an automorphism.  A stuck step stops on its
+    own subtraction, after at most the powers the dense rule of
+    ``_peel_chain`` allows.  The Jacobian is computed only once peeling has
+    failed, or before a large power list, and of the remainder where it
+    stopped: every map peeled off has Jacobian determinant 1, so by the
+    chain rule the remainder's equals F's.
 
     A successful decomposition equals F by construction: every strip step
-    and the head fix subtract c * q exactly (``_cancel_top``), so each
+    and the head fix subtract c * q exactly (``bracket.cancel_top``), so each
     peeled map composed with the remainder gives back the map before it, and
     the swap conjugating the strips cancels (S . S = id).  So the answer is
     exact without recomposing it.  As an alarm for bugs in that bookkeeping
@@ -171,14 +174,6 @@ def _require_keller(g: PolyMap) -> None:
 POWER_TERMS_FACTOR = 64
 
 
-def _cancel_top(p: Polynomial, q: Polynomial) -> tuple:
-    """(c, p - c*q) with c read at a top monomial of q: the degree of p drops
-    exactly when lead(p) = c * lead(q)."""
-    e = max(q.numerators, key=sum)
-    c = p.coefficient(e) / q.coefficient(e)
-    return c, p - q.scale(c)
-
-
 def _peel_chain(f_map: PolyMap) -> Decomposition:
     """The decomposition that leading-form peeling finds, not yet checked.
 
@@ -195,11 +190,12 @@ def _peel_chain(f_map: PolyMap) -> Decomposition:
 
     A strip step at degree dr = k * deg(low) subtracts c * low^k, c read at a
     top monomial of low^k; as lead(low^k) = lead(low)^k, the degree drops
-    exactly when lead(rem) = c * lead(low)^k.  The first step of a strip,
-    which builds low^2, ..., low^k, tests the leading forms before it, so a
-    stuck step such as (x^2 + x + y, y^2000) builds no powers.  If their
-    dense term count exceeds POWER_TERMS_FACTOR times g's, J(g) = J(F) is
-    checked first, so (x^2 + x + y, x^2000) builds none either.
+    exactly when lead(rem) = c * lead(low)^k, and a stuck step stops on that
+    subtraction.  Before a step builds low^2, ..., low^k, their dense term
+    count is compared with POWER_TERMS_FACTOR times g's; above it, J(g) =
+    J(F) is checked first.  So a stuck step builds at most the powers that
+    rule allows, and (x^2 + x + y, y^2000) and (x^2 + x + y, x^2000) build
+    none: both have a Jacobian that is not constant.
     """
     g = f_map
     p, q = g.components
@@ -210,7 +206,7 @@ def _peel_chain(f_map: PolyMap) -> Decomposition:
         if min(dp, dq) < 1:
             raise PeelStuckError("constant or zero component while peeling", g)
         if dp == dq:
-            c, p = _cancel_top(p, q)
+            c, p = cancel_top(p, q)
             if (dp := p.total_degree()) == dq:
                 raise PeelStuckError(
                     f"equal-degree leading forms not proportional at degree {dq}", g)
@@ -225,15 +221,13 @@ def _peel_chain(f_map: PolyMap) -> Decomposition:
                 raise PeelStuckError(
                     f"degree {dr} not divisible by {dl} while peeling", g)
             k = dr // dl
-            if len(powers) >= k or is_power_proportional(
-                    rem.homogeneous_part(dr), low.homogeneous_part(dl)):
-                dense = sum((j * dl + 1) * (j * dl + 2) // 2
-                            for j in range(len(powers) + 1, k + 1))
-                if dense > POWER_TERMS_FACTOR * (len(p.numerators) + len(q.numerators)):
-                    _require_keller(g)
-                while len(powers) < k:
-                    powers.append(powers[-1] * low)
-                coeffs[k], rem = _cancel_top(rem, powers[k - 1])
+            dense = sum((j * dl + 1) * (j * dl + 2) // 2
+                        for j in range(len(powers) + 1, k + 1))
+            if dense > POWER_TERMS_FACTOR * (len(p.numerators) + len(q.numerators)):
+                _require_keller(g)
+            while len(powers) < k:
+                powers.append(powers[-1] * low)
+            coeffs[k], rem = cancel_top(rem, powers[k - 1])
             if (d := rem.total_degree()) == dr:
                 raise PeelStuckError(
                     f"leading form at degree {dr} is not proportional to a "

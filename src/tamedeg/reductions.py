@@ -94,8 +94,7 @@ def bounded_reduction_search(f_map: PolyMap, i: int, degy_bound: int,
     prune = None
     if d_lo < d_hi:
         report = reduced_pair_report(lo, hi)
-        if (report.independent and not report.f_bar_in_g_bar
-                and not report.g_bar_in_f_bar):
+        if report.independent and not report.g_bar_in_f_bar:
             bracket = int(report.bracket_degree)
             prune = lambda t: su_lower_bound(int(d_lo), int(d_hi), bracket, t) > d_target
 

@@ -4,8 +4,8 @@ from __future__ import annotations
 from math import gcd
 from typing import Optional
 
-# The most candidates the CLI tests when it lists gaps: the scan runs from
-# --min to the Frobenius number, which grows as d1 * d2.
+# The most gap candidates the CLI lists gaps among: the k from --min to the
+# Frobenius number, which grows as d1 * d2, and about half of them are gaps.
 MAX_GAP_SCAN = 1_000_000
 
 
@@ -52,7 +52,7 @@ class SemigroupPair:
         return (self.d1 - 1) * (self.d2 - 1) - 1
 
     def gap_candidates(self, min_k: int = 0) -> range:
-        """The k that gaps(min_k) tests: 0 <= k, min_k <= k <= frobenius()."""
+        """The range gaps(min_k) lies in: 0 <= k, min_k <= k <= frobenius()."""
         return range(max(min_k, 0), self.frobenius() + 1)
 
     def gaps(self, min_k: int = 0) -> list[int]:
@@ -67,15 +67,3 @@ class SemigroupPair:
 
     def __repr__(self):
         return f"SemigroupPair({self.d1}, {self.d2})"
-
-
-def member(d1: int, d2: int, k: int) -> Optional[tuple[int, int]]:
-    return SemigroupPair(d1, d2).member(k)
-
-
-def frobenius(d1: int, d2: int) -> int:
-    return SemigroupPair(d1, d2).frobenius()
-
-
-def gaps(d1: int, d2: int, min_k: int = 0) -> list[int]:
-    return SemigroupPair(d1, d2).gaps(min_k)

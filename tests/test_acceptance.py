@@ -12,7 +12,7 @@ from tamedeg.maps import affine, compose_all, gallery, nagata_power
 from tamedeg.plane import inverse_mdeg_prediction, length_bound, peel
 from tamedeg.poly import NEG_INF, Polynomial, parse_poly
 from tamedeg.reductions import bounded_reduction_search, check_elementary_reduction
-from tamedeg.semigroup import SemigroupPair, frobenius, gaps
+from tamedeg.semigroup import SemigroupPair
 from tamedeg.witness import build, build_469_family, build_4k2
 
 from test_bracket import random_poly
@@ -68,8 +68,8 @@ def test_criterion_3_bracket_facts():
 def test_criterion_4_semigroup_tables():
     with Timer(10.0):
         for (d1, d2), expected in GOLDEN_GAPS.items():
-            assert gaps(d1, d2, min_k=d2) == expected
-        assert frobenius(5, 7) == 23
+            assert SemigroupPair(d1, d2).gaps(min_k=d2) == expected
+        assert SemigroupPair(5, 7).frobenius() == 23
         for d1 in range(1, 41):
             for d2 in range(d1, 41):
                 limit = 2 * d1 * d2

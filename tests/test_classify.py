@@ -5,7 +5,7 @@ import pytest
 from tamedeg import classify as classify_module
 from tamedeg.classify import (PRIME_TEST_BOUND, Status, _applicable_rules,
                               _is_prime, classify, enumerate_classifications)
-from tamedeg.semigroup import SemigroupPair, frobenius
+from tamedeg.semigroup import SemigroupPair
 
 
 class TestFixedVerdicts:
@@ -110,7 +110,7 @@ class TestStructuralProperties:
             d1, d2, d3 = c.sorted_mdeg
             if c.rule.startswith(("R5", "R8", "R10", "R11")):
                 pair_d1 = 3 if c.rule.startswith("R5") else d1
-                assert d3 <= frobenius(pair_d1, d2), c
+                assert d3 <= SemigroupPair(pair_d1, d2).frobenius(), c
 
     def test_sum_rule_membership_is_monotone_closed(self):
         # d2 or d3 in the semigroup of the other two degrees => Realizable

@@ -186,7 +186,7 @@ class TestSemigroup:
     def test_gap_scan_limit(self, capsys, monkeypatch, extra):
         # the Frobenius number of (1001, 1003) is 1,001,999, so --min 1999
         # leaves one candidate more than the limit
-        assert semigroup.frobenius(1001, 1003) + 1 - 1999 == MAX_GAP_SCAN + 1
+        assert semigroup.SemigroupPair(1001, 1003).frobenius() + 1 - 1999 == MAX_GAP_SCAN + 1
         monkeypatch.setattr(semigroup.SemigroupPair, "member", refuse)
         code, out, err = run(capsys, "semigroup", "1001", "1003", "--min", "1999", *extra)
         assert (code, out) == (EXIT_USAGE, "")
@@ -439,6 +439,7 @@ class TestUsage:
         # each '^' is within MAX_EXPONENT, the exponents they give y are not
         (["analyze2", "--decompose", "--map"], {"n": 2, "components": ["x + (y^10000)^30", "y"]}),
         (["analyze2", "--decompose", "--map"], {"n": 2, "components": ["x + y^10000*y", "y"]}),
+        (["analyze2", "--decompose", "--map"], {"n": 2, "components": ["x + y*y^10000", "y"]}),
         (["verify"], {"target": [1, 1, 10001], "recipe": None, "factors": [
             {"n": 3, "components": ["x", "y", "z + x^10001"]}]}),
         (["analyze2", "--map"], {"n": 2, "components": ["x + " + "9" * 5000 + "*y^2", "y"]}),

@@ -271,6 +271,7 @@ class TestParsePrint:
         ("2*y^7000*x*y^4000", 11),
         ("(y^6000 + 1)*(y^6000 + 1)", 12),  # a product of two factors
         ("(y^5000)*y^5001", 15),  # a term's factor and its monomial
+        ("y*y^10000", 2),  # a variable already raised meets a '^'
     ])
     def test_variable_exponent_limit(self, text, position):
         start = time.process_time()

@@ -2,7 +2,7 @@ from math import gcd
 
 import pytest
 
-from tamedeg.semigroup import SemigroupPair, frobenius, gaps, member
+from tamedeg.semigroup import SemigroupPair
 
 # frozen gap lists for the pairs used throughout the degree tables
 GOLDEN_GAPS = {
@@ -62,33 +62,34 @@ class TestMember:
 
 class TestFrobenius:
     def test_formula(self):
-        assert frobenius(5, 7) == 23
-        assert frobenius(2, 3) == 1
+        assert SemigroupPair(5, 7).frobenius() == 23
+        assert SemigroupPair(2, 3).frobenius() == 1
 
     def test_degenerate_generator_one(self):
-        assert frobenius(1, 9) == -1
+        assert SemigroupPair(1, 9).frobenius() == -1
 
     def test_common_factor_rejected(self):
         with pytest.raises(ValueError):
-            frobenius(4, 6)
+            SemigroupPair(4, 6).frobenius()
 
     def test_everything_above_frobenius_is_member(self):
         for d1, d2 in [(3, 5), (5, 7), (7, 11)]:
-            f = frobenius(d1, d2)
-            assert member(d1, d2, f) is None
+            pair = SemigroupPair(d1, d2)
+            f = pair.frobenius()
+            assert pair.member(f) is None
             for k in range(f + 1, f + d1 + 1):
-                assert member(d1, d2, k) is not None
+                assert pair.member(k) is not None
 
 
 class TestGaps:
     def test_golden_tables(self):
         for (d1, d2), expected in GOLDEN_GAPS.items():
-            full = gaps(d1, d2)
+            full = SemigroupPair(d1, d2).gaps()
             assert [g for g in full if g >= d2] == expected
-            assert gaps(d1, d2, min_k=d2) == expected
+            assert SemigroupPair(d1, d2).gaps(min_k=d2) == expected
 
     def test_small_pair(self):
-        assert gaps(3, 5) == [1, 2, 4, 7]
+        assert SemigroupPair(3, 5).gaps() == [1, 2, 4, 7]
 
     def test_gaps_test_exactly_the_candidates(self):
         pair = SemigroupPair(3, 5)
@@ -119,9 +120,9 @@ class TestGaps:
 
     def test_non_coprime_pair_rejected(self):
         with pytest.raises(ValueError, match="coprime"):
-            gaps(4, 6)
+            SemigroupPair(4, 6).gaps()
 
     def test_gap_count_is_half_frobenius_interval(self):
         # symmetric numerical semigroups: exactly (d1-1)(d2-1)/2 gaps
         for d1, d2 in [(3, 5), (5, 7), (5, 11), (7, 11)]:
-            assert len(gaps(d1, d2)) == (d1 - 1) * (d2 - 1) // 2
+            assert len(SemigroupPair(d1, d2).gaps()) == (d1 - 1) * (d2 - 1) // 2
