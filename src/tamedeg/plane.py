@@ -129,8 +129,8 @@ def peel(f_map: PolyMap) -> Decomposition:
     Raises NotKellerError when the Jacobian determinant is not a nonzero
     constant, and PeelStuckError when a leading-form step fails -- either way
     the input is certifiably not an automorphism.  A stuck step stops on its
-    own subtraction, after at most the powers the dense rule of
-    ``_peel_chain`` allows.  The Jacobian is computed only once peeling has
+    own subtraction; on a map whose Jacobian is not a nonzero constant, after
+    at most the powers the dense rule of ``_peel_chain`` allows.  The Jacobian is computed only once peeling has
     failed, or before a large power list, and of the remainder where it
     stopped: every map peeled off has Jacobian determinant 1, so by the
     chain rule the remainder's equals F's.
@@ -193,9 +193,9 @@ def _peel_chain(f_map: PolyMap) -> Decomposition:
     exactly when lead(rem) = c * lead(low)^k, and a stuck step stops on that
     subtraction.  Before a step builds low^2, ..., low^k, their dense term
     count is compared with POWER_TERMS_FACTOR times g's; above it, J(g) =
-    J(F) is checked first.  So a stuck step builds at most the powers that
-    rule allows, and (x^2 + x + y, y^2000) and (x^2 + x + y, x^2000) build
-    none: both have a Jacobian that is not constant.
+    J(F) is checked first.  So a stuck step of a map whose Jacobian is not a
+    nonzero constant builds at most the powers that rule allows, and
+    (x^2 + x + y, y^2000) and (x^2 + x + y, x^2000) build none.
     """
     g = f_map
     p, q = g.components
