@@ -170,7 +170,8 @@ def _cmd_semigroup(args) -> int:
     payload: dict = {"d1": pair.d1, "d2": pair.d2}
     list_gaps = args.gaps or args.k is None
     if list_gaps:
-        scanned = len(pair.gap_candidates(args.min_k))
+        candidates = pair.gap_candidates(args.min_k)  # len() overflows past sys.maxsize
+        scanned = max(candidates.stop - candidates.start, 0)
         if scanned > semigroup.MAX_GAP_SCAN:
             raise _UsageError(
                 f"listing gaps would test {scanned} candidates, more than "

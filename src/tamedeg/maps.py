@@ -1,8 +1,8 @@
 """Polynomial endomorphisms of affine n-space.
 
-PolyMap is an ordered tuple of n polynomials in n variables.  Constructors
-for the standard generator types (elementary, triangular, de Jonquieres,
-affine) return a Factor carrying the map together with its exact inverse.
+PolyMap is an ordered tuple of n polynomials in n variables.  The two
+generator constructors, elementary and affine, return a Factor carrying the
+map together with its exact inverse; every tame map is a composite of them.
 """
 from __future__ import annotations
 
@@ -133,48 +133,6 @@ def elementary(n: int, i: int, f: Polynomial) -> Factor:
     return Factor(PolyMap(tuple(comps)), PolyMap(tuple(inv)))
 
 
-def _shifted(order: Sequence[int], scalars: Sequence[Fraction],
-             shifts: Sequence[Polynomial]) -> Factor:
-    """x_v -> a*x_v + f for v, a, f read along ``order``, each f in the
-    variables before v in the order; the inverse by back-substitution."""
-    n = len(order)
-    comps = list(identity(n).components)
-    inv = list(comps)
-    for k, (v, a, f) in enumerate(zip(order, scalars, shifts)):
-        if f.n != n:
-            raise DimensionMismatch("f has wrong variable count")
-        if not f.variables() <= set(order[:k]):
-            raise ValueError(f"the shift of variable {v} involves forbidden variables")
-        comps[v] = comps[v].scale(a) + f
-        inv[v] = (Polynomial.variable(n, v) - f.substitute(inv)).scale(1 / a)
-    return Factor(PolyMap(tuple(comps)), PolyMap(tuple(inv)))
-
-
-def triangular(fs: Sequence[Polynomial], perm: Sequence[int] | None = None) -> Factor:
-    """Triangular map: in the order given by perm, the first variable is fixed
-    and each later one is shifted by a polynomial in the strictly earlier ones.
-
-    fs has length n-1; fs[k] may only involve the first k+1 variables of the
-    order.  perm defaults to the natural order 0..n-1.
-    """
-    n = len(fs) + 1
-    order = list(range(n)) if perm is None else list(perm)
-    if sorted(order) != list(range(n)):
-        raise ValueError("perm must be a permutation of 0..n-1")
-    return _shifted(order, [Fraction(1)] * n, [Polynomial.zero(n), *fs])
-
-
-def de_jonquieres(scalars: Sequence, fs: Sequence[Polynomial]) -> Factor:
-    """x_i -> a_i x_i + f_i(x_{i+1},...,x_n), with f_n constant, a_i != 0."""
-    n = len(scalars)
-    if len(fs) != n:
-        raise ValueError("need one f per coordinate")
-    a = [Fraction(s) for s in scalars]
-    if any(not s for s in a):
-        raise ValueError("scalars must be nonzero")
-    return _shifted(range(n - 1, -1, -1), a[::-1], fs[::-1])
-
-
 def affine(matrix: Sequence[Sequence], vector: Sequence | None = None) -> Factor:
     """x -> M x + v with invertible M; raises SingularMatrixError otherwise."""
     n = len(matrix)
@@ -190,19 +148,6 @@ def affine(matrix: Sequence[Sequence], vector: Sequence | None = None) -> Factor
 
     inv_shift = [-sum(x * y for x, y in zip(row, v)) for row in m_inv]
     return Factor(rows_to_map(matrix, v), rows_to_map(m_inv, inv_shift))
-
-
-def permutation(n: int, perm: Sequence[int]) -> Factor:
-    """Map sending x_{perm[i]} to position i: components (x_perm[0], ...)."""
-    if sorted(perm) != list(range(n)):
-        raise ValueError("not a permutation")
-    return affine([[int(perm[i] == j) for j in range(n)] for i in range(n)])
-
-
-def swap(n: int, i: int, j: int) -> Factor:
-    perm = list(range(n))
-    perm[i], perm[j] = perm[j], perm[i]
-    return permutation(n, perm)
 
 
 # ---------------------------------------------------------------------------

@@ -232,9 +232,9 @@ def _is_generator(m: PolyMap) -> bool:
     Triangular: each component i is a*x_i + f_i with a != 0 and f_i free of
     x_i, and the variables can be ordered so that every f_i involves only
     variables placed before x_i.  Such a map is a diagonal linear map
-    followed by elementary ones, so elementary, ``maps.triangular`` and
-    ``maps.de_jonquieres`` factors (and the identity) all pass.  Only the
-    stored form of each component is read.
+    followed by elementary ones, so elementary factors, triangular and de
+    Jonquieres maps (and the identity) all pass.  Only the stored form of
+    each component is read.
     """
     n = m.n
     units = [tuple(int(t == j) for t in range(n)) for j in range(n)]

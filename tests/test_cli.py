@@ -11,8 +11,7 @@ from tamedeg import classify as classify_module
 from tamedeg import cli, reductions, semigroup
 from tamedeg.classify import MAX_ENUMERATE, PRIME_TEST_BOUND
 from tamedeg.cli import EXIT_USAGE, main
-from tamedeg.maps import (PolyMap, compose_all, de_jonquieres, elementary, gallery,
-                          triangular)
+from tamedeg.maps import PolyMap, compose_all, elementary, gallery
 from tamedeg.plane import Decomposition
 from tamedeg.poly import MAX_EXPONENT, parse_poly
 from tamedeg.reductions import MAX_DEG_BOUND
@@ -155,8 +154,8 @@ class TestVerify:
         ([m3("x + y^2", "y + x^2", "z")], "MISMATCH"),  # shifts in a cycle
         ([m3("y + 1", "x - 1/2*z", "3*z")], "OK"),      # invertible affine
         ([m3("2*x + y^2", "y", "z")], "OK"),            # scaled elementary
-        ([triangular([p3("z^2"), p3("x*z + z^3")], perm=[2, 0, 1]).map], "OK"),
-        ([de_jonquieres([2, -1, 3], [p3("y*z^2"), p3("z^3"), p3("1")]).map], "OK"),
+        ([m3("x + z^2", "y + x*z + z^3", "z")], "OK"),  # triangular
+        ([m3("2*x + y*z^2", "-y + z^3", "3*z + 1")], "OK"),  # de Jonquieres
     ])
     def test_factors_must_be_generators(self, capsys, tmp_path, factors, expected):
         path = tmp_path / "w.json"
@@ -188,10 +187,15 @@ class TestSemigroup:
         # leaves one candidate more than the limit
         assert semigroup.SemigroupPair(1001, 1003).frobenius() + 1 - 1999 == MAX_GAP_SCAN + 1
         monkeypatch.setattr(semigroup.SemigroupPair, "member", refuse)
-        code, out, err = run(capsys, "semigroup", "1001", "1003", "--min", "1999", *extra)
-        assert (code, out) == (EXIT_USAGE, "")
-        assert err == (f"usage error: listing gaps would test {MAX_GAP_SCAN + 1} "
-                       f"candidates, more than {MAX_GAP_SCAN}; raise --min\n")
+        for pair, scanned in [
+                (["1001", "1003", "--min", "1999"], MAX_GAP_SCAN + 1),
+                # candidate ranges longer than sys.maxsize
+                (["3", str(10**27 + 1)], 2 * 10**27),
+                ([str(10**27 + 1), str(10**27 + 3)], 10**54 + 2 * 10**27)]:
+            code, out, err = run(capsys, "semigroup", *pair, *extra)
+            assert (code, out) == (EXIT_USAGE, "")
+            assert err == (f"usage error: listing gaps would test {scanned} "
+                           f"candidates, more than {MAX_GAP_SCAN}; raise --min\n")
 
     def test_gap_scan_at_limit(self, capsys, monkeypatch):
         monkeypatch.setattr(semigroup.SemigroupPair, "gaps", lambda pair, min_k: [min_k])

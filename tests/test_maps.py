@@ -3,10 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from tamedeg.maps import (PolyMap, affine, compose_all, de_jonquieres,
-                          elementary, gallery, gallery_names, identity,
-                          nagata_power, permutation, swap,
-                          triangular)
+from tamedeg.maps import (PolyMap, affine, compose_all, elementary, gallery,
+                          gallery_names, identity, nagata_power)
 from tamedeg.linalg import SingularMatrixError
 from tamedeg.poly import Polynomial, parse_poly
 
@@ -99,27 +97,11 @@ class TestFactorInverses:
         with pytest.raises(ValueError):
             elementary(3, 1, p("y"))
 
-    def test_triangular(self):
-        self.check(triangular([p("x^2"), p("x*y + y^3")]))
-        self.check(triangular([p("z^3"), p("z*y + y^2")], perm=[2, 1, 0]))
-        with pytest.raises(ValueError):  # the shift of y uses the later z
-            triangular([p("z"), p("x")])
-
-    def test_de_jonquieres(self):
-        self.check(de_jonquieres([1, 2, Fraction(1, 3)],
-                                 [p("y^2 + z"), p("z^3"), Polynomial.zero(3)]))
-        with pytest.raises(ValueError):  # the last shift must be constant
-            de_jonquieres([1, 2, 3], [p("y"), p("z"), p("z")])
-
     def test_affine(self):
         self.check(affine([[1, 2], [1, 3]], [5, -1]))
         with pytest.raises(SingularMatrixError):
             affine([[1, 2], [2, 4]])
-
-    def test_permutation_and_swap(self):
-        self.check(permutation(3, [2, 0, 1]))
-        self.check(swap(3, 0, 2))
-        assert swap(3, 0, 2).map == gallery("swap13")
+        assert affine([[0, 0, 1], [0, 1, 0], [1, 0, 0]]).map == gallery("swap13")
 
     def test_compose_all_order(self):
         # compose_all([A, B]) applies B first: the list is written

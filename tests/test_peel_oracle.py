@@ -22,8 +22,7 @@ import pytest
 from conftest import random_affine2, random_plane_chain, sparse_univariate
 from tamedeg.bracket import is_power_proportional
 from tamedeg.linalg import SingularMatrixError
-from tamedeg.maps import (Factor, PolyMap, affine, compose_all, elementary,
-                          identity, swap)
+from tamedeg.maps import Factor, PolyMap, affine, compose_all, elementary, identity
 from tamedeg.plane import Decomposition, NotKellerError, PeelStuckError, peel
 from tamedeg.poly import Polynomial, parse_poly
 
@@ -67,7 +66,7 @@ def oracle_peel(f_map: PolyMap) -> Decomposition:
 
 
 def oracle_peel_chain(f_map: PolyMap) -> Decomposition:
-    swp = swap(2, 0, 1)
+    swp = affine([[0, 1], [1, 0]])
     raw_head: list = []  # leading affine pieces ('aff' or 'swap')
     raw_tris: list[Polynomial] = []  # f_i in variable x, all of form (x, y+f(x))
     g = f_map
@@ -209,7 +208,7 @@ def test_first_component_higher_and_lower(length):
     degs = [2, 3, 2, 2][:length]
     for _ in range(3):
         inner = normalized_inner(rng, degs)
-        turned = swap(2, 0, 1).map.compose(inner)
+        turned = affine([[0, 1], [1, 0]]).map.compose(inner)
         for f in (inner, turned):
             assert len(assert_same(f)[1]) == length
 

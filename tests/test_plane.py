@@ -5,8 +5,7 @@ import pytest
 
 from conftest import random_plane_chain
 from tamedeg import plane
-from tamedeg.maps import (Factor, PolyMap, affine, compose_all, elementary, identity,
-                          swap)
+from tamedeg.maps import Factor, PolyMap, affine, compose_all, elementary, identity
 from tamedeg.plane import (InconsistentLengthError, NotKellerError, PeelStuckError,
                            inverse_mdeg_prediction, length_bound,
                            omega, peel)
@@ -195,7 +194,7 @@ def _edit_top(t: Factor, edit) -> Factor:
 
 def _drop_flip(dec):
     """Undo the swap conjugation of the strips; L1 and L2 keep theirs."""
-    s = swap(2, 0, 1).map
+    s = affine([[0, 1], [1, 0]]).map
     dec.factors = [Factor(compose_all([s, t.map, s]), compose_all([s, t.inverse, s]))
                    for t in dec.factors]
 
@@ -230,7 +229,7 @@ class TestPointCheck:
     def test_flipped_chain_is_flipped(self):
         dec = peel(_flipped())
         assert dec.factor_degrees == [2, 3]
-        assert dec.l2.map == swap(2, 0, 1).map
+        assert dec.l2.map == affine([[0, 1], [1, 0]]).map
 
     @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
     @pytest.mark.parametrize("a", [1, Fraction(1, P), P])
