@@ -8,9 +8,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
-from . import linalg
+from . import linalg, poly
 from .poly import (NAME_RE, DimensionMismatch, Polynomial, default_varnames, format_poly,
                    parse_poly)
 
@@ -34,9 +35,7 @@ class PolyMap:
 
     def compose(self, other: "PolyMap") -> "PolyMap":
         """self after other: (self . other)(x) = self(other(x))."""
-        if self.n != other.n:
-            raise DimensionMismatch("dimension mismatch in composition")
-        return PolyMap(tuple(c.substitute(other.components) for c in self.components))
+        return compose_all([self, other])
 
     def mdeg(self) -> tuple:
         return tuple(c.total_degree() for c in self.components)
@@ -98,13 +97,31 @@ def identity(n: int) -> PolyMap:
 
 
 def compose_all(maps: Sequence[PolyMap]) -> PolyMap:
-    """Left-to-right composition: maps[0] . maps[1] . ... . maps[-1]."""
+    """Left-to-right composition: maps[0] . maps[1] . ... . maps[-1].
+
+    One packed layout serves the chain, its width fixed by degree bounds
+    from the right: deg (m . G)_j <= max over the monomials e of m_j of
+    sum_i e_i * deg G_i.  The rightmost map is packed once, the outer maps
+    are substituted by ``poly._substitute_packed``, and only components
+    that changed are unpacked; the others are the rightmost map's own."""
     if not maps:
         raise ValueError("need at least one map")
-    result = maps[-1]
+    n = maps[-1].n
+    if any(m.n != n for m in maps):
+        raise DimensionMismatch("dimension mismatch in composition")
+    degrees, top = [1] * n, 0  # the rightmost map is bounded as m . identity
+    for m in reversed(maps):
+        degrees = [max((sum(map(mul, e, degrees)) for e in c.numerators), default=0)
+                   for c in m.components]
+        top = max([top, *degrees])
+    shifts, mask = poly._layout(n, top.bit_length())
+    running = [(poly._pack(c.numerators, shifts), c.denominator, c) for c in maps[-1].components]
     for m in reversed(maps[:-1]):
-        result = m.compose(result)
-    return result
+        running = poly._substitute_packed(
+            [(c.numerators, c.denominator) for c in m.components], running)
+    return PolyMap(tuple(r[2] if len(r) > 2 else
+                         Polynomial._make(n, poly._unpack(r[0], shifts, mask), r[1])
+                         for r in running))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import poly
 # is_power_proportional is not called here; bench/spans.py times it at this name
 from .bracket import cancel_top, is_power_proportional  # noqa: F401
 from .linalg import SingularMatrixError
@@ -109,7 +110,7 @@ class Decomposition:
             same = _at(inv, self.at(POINT)) == POINT
         except ValueError:  # P divides a denominator
             ident = identity(2)
-            same = all(f.map.compose(f.inverse) == ident for f in self.chain)
+            same = all(compose_all([f.map, f.inverse]) == ident for f in self.chain)
         if not same:
             raise AssertionError("inverse verification failed (internal bug)")
         return inv
@@ -191,11 +192,13 @@ def _peel_chain(f_map: PolyMap) -> Decomposition:
     A strip step at degree dr = k * deg(low) subtracts c * low^k, c read at a
     top monomial of low^k; as lead(low^k) = lead(low)^k, the degree drops
     exactly when lead(rem) = c * lead(low)^k, and a stuck step stops on that
-    subtraction.  Before a step builds low^2, ..., low^k, their dense term
-    count is compared with POWER_TERMS_FACTOR times g's; above it, J(g) =
-    J(F) is checked first.  So a stuck step of a map whose Jacobian is not a
-    nonzero constant builds at most the powers that rule allows, and
-    (x^2 + x + y, y^2000) and (x^2 + x + y, x^2000) build none.
+    subtraction.  k falls within a strip, so its first step builds low^2,
+    ..., low^k at once, packed in fields wide enough for low^k, and each
+    step unpacks only the power it subtracts.  Before they are built, their
+    dense term count is compared with POWER_TERMS_FACTOR times g's; above
+    it, J(g) = J(F) is checked first.  So a stuck step of a map whose
+    Jacobian is not a nonzero constant builds at most the powers that rule
+    allows, and (x^2 + x + y, y^2000) and (x^2 + x + y, x^2000) build none.
     """
     g = f_map
     p, q = g.components
@@ -215,19 +218,23 @@ def _peel_chain(f_map: PolyMap) -> Decomposition:
         i = int(dp < dq)  # the component to lower
         rem, low = (q, p) if i else (p, q)
         dr, dl = (dq, dp) if i else (dp, dq)
-        coeffs, powers = {}, [low]  # powers[j] = low ** (j + 1), built as read
+        coeffs, powers = {}, None  # powers[j] = low ** (j + 1), packed
         while dr > dl or (dr == dl and dl > 1):
             if dr % dl:
                 raise PeelStuckError(
                     f"degree {dr} not divisible by {dl} while peeling", g)
             k = dr // dl
-            dense = sum((j * dl + 1) * (j * dl + 2) // 2
-                        for j in range(len(powers) + 1, k + 1))
-            if dense > POWER_TERMS_FACTOR * (len(p.numerators) + len(q.numerators)):
-                _require_keller(g)
-            while len(powers) < k:
-                powers.append(powers[-1] * low)
-            coeffs[k], rem = cancel_top(rem, powers[k - 1])
+            if powers is None:  # the first step: k is the strip's largest
+                dense = sum((j * dl + 1) * (j * dl + 2) // 2 for j in range(2, k + 1))
+                if dense > POWER_TERMS_FACTOR * (len(p.numerators) + len(q.numerators)):
+                    _require_keller(g)
+                shifts, mask = poly._layout(2, (k * max(map(max, low.numerators))).bit_length())
+                powers = [poly._pack(low.numerators, shifts)]
+                for _ in range(k - 1):
+                    powers.append(poly._mul_packed(powers[-1], powers[0]))
+            power = low if k == 1 else Polynomial._make(
+                2, poly._unpack(powers[k - 1], shifts, mask), low.denominator ** k)
+            coeffs[k], rem = cancel_top(rem, power)
             if (d := rem.total_degree()) == dr:
                 raise PeelStuckError(
                     f"leading form at degree {dr} is not proportional to a "

@@ -12,7 +12,9 @@ with ints).  Products pack each exponent tuple into one int, so a term pair
 costs one int add and one int multiply-add.  Packed keys add without
 carries, so when the largest product key is below the number of term pairs
 the products are summed into a list indexed by the key, which is then no
-longer than the pairs; otherwise into a dict.
+longer than the pairs; otherwise into a dict.  Substitution has one packed
+core, ``_substitute_packed``: ``substitute`` packs its arguments for one
+call, and ``maps.compose_all`` packs a whole chain once.
 
 The text grammar accepts variables ``x1..x9`` or declared aliases such as
 ``x, y, z``; integer and ``p/q`` rational literals (``q`` nonzero); operators
@@ -111,6 +113,67 @@ def _mul_packed(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
     return {k: v for k, v in out.items() if v}
 
 
+def _lowest(numerators: dict, den: int) -> tuple[dict, int]:
+    """``numerators`` over ``den`` in lowest terms, whatever their keys."""
+    g = den
+    for v in numerators.values():
+        if (g := gcd(g, v)) == 1:
+            return numerators, den
+    return {e: v // g for e, v in numerators.items()}, den // g
+
+
+def _substitute_packed(polys: Sequence[tuple[Mapping, int]],
+                       args: Sequence) -> list[tuple[dict, int]]:
+    """The images of (numerators, denominator) pairs under x_i -> args[i],
+    a packed (numerators, denominator) pair, or None where no polynomial has
+    x_i; the images are packed, in lowest terms, and x_i's is args[i]
+    itself.  The powers of each argument are built once, one multiply apart
+    up to the largest exponent that occurs, for all the polynomials."""
+    images: list = [None] * len(polys)
+    jobs, wanted = [], [set() for _ in args]
+    for j, (terms, den) in enumerate(polys):
+        if len(terms) == 1 and den == 1:
+            ((exps, c),) = terms.items()
+            if c == 1 and sum(exps) == 1:
+                images[j] = args[exps.index(1)]
+                continue
+        columns = [set(column) - {0} for column in zip(*terms)]
+        for want, column in zip(wanted, columns):
+            want |= column
+        jobs.append((j, terms, den, columns))
+    powers: list[dict[int, dict[int, int]]] = []
+    for arg, want in zip(args, wanted):
+        row, power = {}, None
+        for e in range(1, max(want, default=0) + 1):
+            power = arg[0] if power is None else _mul_packed(power, arg[0])
+            if e in want:
+                row[e] = power
+        powers.append(row)
+    # An image's denominator is den * prod_i d_i^E_i, d_i that of args[i] and
+    # E_i the largest exponent of x_i: a monomial c*x^e adds c * prod_i
+    # d_i^(E_i - e_i) times the product of the powers it needs.
+    one = ((0, 1),)
+    for j, terms, den, columns in jobs:
+        rational = [(i, arg[1], max(column)) for i, (arg, column) in enumerate(zip(args, columns))
+                    if column and arg[1] != 1]
+        acc: dict[int, int] = {}
+        get = acc.get
+        for exps, c in terms.items():
+            product = None
+            for i, e in enumerate(exps):
+                if e:
+                    power = powers[i][e]
+                    product = power if product is None else _mul_packed(product, power)
+            for i, d, e_max in rational:
+                if exps[i] != e_max:
+                    c *= d ** (e_max - exps[i])
+            for key, v in (one if product is None else product.items()):
+                acc[key] = get(key, 0) + c * v
+        den *= prod(d ** e_max for _, d, e_max in rational)
+        images[j] = _lowest({k: v for k, v in acc.items() if v}, den)
+    return images
+
+
 def _sum(n: int, items: Iterable) -> "Polynomial":
     """The Polynomial sum of ``(exps, numerator, denominator)`` terms, each
     denominator positive.  Terms are summed per denominator and the partial
@@ -164,14 +227,7 @@ class Polynomial:
         tuples of length ``n`` to nonzero ints and ``denominator`` is a
         positive int; here they are brought to lowest terms."""
         if denominator != 1:
-            g = denominator
-            for v in numerators.values():
-                g = gcd(g, v)
-                if g == 1:
-                    break
-            if g != 1:
-                denominator //= g
-                numerators = {e: v // g for e, v in numerators.items()}
+            numerators, denominator = _lowest(numerators, denominator)
         res = object.__new__(cls)
         object.__setattr__(res, "n", n)
         object.__setattr__(res, "numerators", numerators)
@@ -214,7 +270,7 @@ class Polynomial:
             raise IndexError(f"variable index {i} out of range for n={n}")
         exps = [0] * n
         exps[i] = 1
-        return cls(n, {tuple(exps): 1})
+        return cls._make(n, {tuple(exps): 1})
 
     @classmethod
     def monomial(cls, n: int, exps: Sequence[int], coeff: Scalar = 1) -> "Polynomial":
@@ -361,8 +417,9 @@ class Polynomial:
 
     def substitute(self, args: Sequence["Polynomial"]) -> "Polynomial":
         """Evaluate at args: the image of self under x_i -> args[i].  Only
-        the arguments whose variable occurs in self are packed and powered,
-        and self = x_i returns args[i] itself."""
+        the arguments whose variable occurs in self are packed, in fields
+        just wide enough for this call, and ``_substitute_packed`` powers
+        them and sums the image; self = x_i returns args[i] itself."""
         if len(args) != self.n:
             raise DimensionMismatch(
                 f"expected {self.n} substitution arguments, got {len(args)}")
@@ -373,60 +430,21 @@ class Polynomial:
             if a.n != m:
                 raise DimensionMismatch("substitution arguments differ in variable count")
         terms = self.numerators
-        if not terms:
-            return Polynomial.zero(m)
         if len(terms) == 1 and self.denominator == 1:
             ((exps, c),) = terms.items()
             if c == 1 and sum(exps) == 1:
                 return args[exps.index(1)]  # immutable, so safe to share
-        # The nonzero exponents of each variable in self; a variable with
-        # none has no packed form and no powers.
-        columns = [set(column) - {0} for column in zip(*terms)]
-        # Every product below is a factor of some monomial's image, so no
-        # exponent exceeds sum_i e_i * top_i, top_i the largest exponent in
-        # args[i]: fields of that width never carry.
-        tops = [max(map(max, a.numerators), default=0) if m and wanted else 0
-                for a, wanted in zip(args, columns)]
-        width = max(sum(map(mul, exps, tops)) for exps in terms).bit_length()
+        # No exponent of a monomial's image exceeds sum_i e_i * top_i, top_i
+        # the largest exponent in args[i], which fixes the field width.
+        used = [any(column) for column in zip(*terms)]
+        tops = [max(map(max, a.numerators), default=0) if m and u else 0
+                for a, u in zip(args, used)]
+        width = max((sum(map(mul, exps, tops)) for exps in terms), default=0).bit_length()
         shifts, mask = _layout(m, width)
-        # Powers of each argument, built one multiply apart up to the largest
-        # exponent that occurs; only the exponents some monomial uses are kept.
-        powers: list[dict[int, dict[int, int]]] = []
-        for a, wanted in zip(args, columns):
-            row = {}
-            if wanted:
-                base = power = _pack(a.numerators, shifts)
-                for e in range(1, max(wanted) + 1):
-                    if e > 1:
-                        power = _mul_packed(power, base)
-                    if e in wanted:
-                        row[e] = power
-            powers.append(row)
-        # The sum is taken over the common denominator den * prod_i d_i^E_i,
-        # with d_i the denominator of args[i] and E_i the largest exponent of
-        # x_i in self: a monomial c*x^e adds c * prod_i d_i^(E_i - e_i) times
-        # the numerators of its image.  Each monomial multiplies only the
-        # powers it needs.
-        rational = [(i, a.denominator, max(wanted))
-                    for i, (a, wanted) in enumerate(zip(args, columns))
-                    if wanted and a.denominator != 1]
-        one = ((0, 1),)
-        acc: dict[int, int] = {}
-        get = acc.get
-        for exps, c in terms.items():
-            product = None
-            for i, e in enumerate(exps):
-                if e:
-                    power = powers[i][e]
-                    product = power if product is None else _mul_packed(product, power)
-            for i, d, e_max in rational:
-                if exps[i] != e_max:
-                    c *= d ** (e_max - exps[i])
-            for key, v in (one if product is None else product.items()):
-                acc[key] = get(key, 0) + c * v
-        den = self.denominator * prod(d ** e_max for _, d, e_max in rational)
-        return Polynomial._make(m, _unpack({k: v for k, v in acc.items() if v}, shifts, mask),
-                                den)
+        packed = [(_pack(a.numerators, shifts), a.denominator) if u else None
+                  for a, u in zip(args, used)]
+        ((image, den),) = _substitute_packed([(terms, self.denominator)], packed)
+        return Polynomial._make(m, _unpack(image, shifts, mask), den)
 
     # -- comparison / display -------------------------------------------
 

@@ -13,7 +13,8 @@ read through ``terms`` must be a nonzero, normalised ``Fraction``, and the
 stored form must be in lowest terms.  Every exponent packed must fit the
 field width of its layout.
 ``PolyMap.compose`` and ``PolyMap.jacobian_determinant`` are checked
-against sympy.
+against sympy, and ``compose_all``, which runs a whole chain in one packed
+layout, against a step-by-step fold of ``substitute``.
 """
 import contextlib
 import itertools
@@ -27,7 +28,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from tamedeg import poly  # noqa: E402
-from tamedeg.maps import PolyMap, elementary  # noqa: E402
+from tamedeg.maps import PolyMap, compose_all, elementary  # noqa: E402
 from tamedeg.plane import peel  # noqa: E402
 from tamedeg.poly import Polynomial, _layout, _pack, parse_poly  # noqa: E402
 
@@ -298,6 +299,17 @@ def test_fields_fit_in_compose_and_inverse():
         dec = peel(g)
         assert g.compose(dec.inverse_map()) == PolyMap((Polynomial.variable(2, 0),
                                                         Polynomial.variable(2, 1)))
+        # five factors: one layout for the chain, sized by its degree bound 7
+        chain = [elementary(3, 0, parse_poly("y*z - 1/3", n=3)).map,
+                 elementary(3, 1, parse_poly("x^2 + 2*z", n=3)).map,
+                 elementary(3, 2, parse_poly("-x*y", n=3)).map,
+                 elementary(3, 0, parse_poly("7*y^2", n=3)).map,
+                 PolyMap.from_json({"n": 3, "components": ["2*x + 1/2", "y - z", "z"]})]
+        del widths[:]
+        composed = compose_all(chain)
+        assert widths == [(7).bit_length()]
+        assert composed == folded(chain)
+        assert composed.mdeg() == (7, 4, 3)
     assert widths
 
 
@@ -378,6 +390,65 @@ def test_jacobian_determinant_matches_sympy(f):
     gens = sympy.symbols(f"t0:{f.n}")
     matrix = sympy.Matrix([to_sympy(c, gens) for c in f.components]).jacobian(gens)
     assert_clean(f.jacobian_determinant(), from_sympy(matrix.det(), gens))
+
+
+# ---------------------------------------------------------------------------
+# compose_all against a fold of substitute
+# ---------------------------------------------------------------------------
+
+def folded(maps):
+    """maps[0] . ... . maps[-1], one ``substitute`` per component and step."""
+    result = maps[-1]
+    for m in reversed(maps[:-1]):
+        result = PolyMap(tuple(c.substitute(result.components) for c in m.components))
+    return result
+
+
+@st.composite
+def chains(draw):
+    """1-6 maps in n = 1..3 variables: sparse and dense maps whose degrees
+    multiply to at most 12, or to at most 4 over an innermost map with
+    exponents past 2^20, whose products are all sparse."""
+    n, length, wide = draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.booleans())
+    maps, budget = [], 4 if wide else 12
+    for _ in range(length - 1):
+        d = draw(st.integers(1, min(3, budget)))
+        budget //= d
+        maps.append(draw(small_maps(n, d)))
+    if wide:
+        exps = st.tuples(*[st.sampled_from([0, 1, 2 ** 20 + 1])] * n)
+        inner = st.dictionaries(exps, coefficients, max_size=3).map(
+            lambda terms: Polynomial(n, terms))
+    else:
+        inner = small_polynomials(n, min(3, budget))
+    return maps + [PolyMap(tuple(draw(st.lists(inner, min_size=n, max_size=n))))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(chains())
+def test_compose_all_matches_fold(maps):
+    composed = compose_all(maps)
+    for got, want in zip(composed.components, folded(maps).components):
+        assert_canonical(got, dict(want.terms))
+
+
+def test_compose_all_both_sides(monkeypatch):
+    # dense factors sum into the list, sparse ones into the dict
+    sides = set()
+    mul_packed = poly._mul_packed
+
+    def recorded(a, b):
+        if a and b:
+            sides.add(max(a) + max(b) + 1 <= len(a) * len(b))
+        return mul_packed(a, b)
+
+    dense = PolyMap.from_json({"n": 2, "components": [
+        "x^3 + 2*x^2*y - 1/3*x*y^2 + y^3 + x^2 + x*y + y^2 + x + y + 1", "y + 5*x^2 + 3"]})
+    sparse = PolyMap.from_json({"n": 2, "components": ["x + y^7", "-2/9*y"]})
+    maps = [sparse, dense, elementary(2, 1, parse_poly("x^2 - 4", n=2)).map, dense]
+    monkeypatch.setattr(poly, "_mul_packed", recorded)
+    assert compose_all(maps) == folded(maps)
+    assert sides == {True, False}
 
 
 # ---------------------------------------------------------------------------

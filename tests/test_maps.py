@@ -6,7 +6,7 @@ import pytest
 from tamedeg.maps import (PolyMap, affine, compose_all, elementary, gallery,
                           gallery_names, identity, nagata_power)
 from tamedeg.linalg import SingularMatrixError
-from tamedeg.poly import Polynomial, parse_poly
+from tamedeg.poly import DimensionMismatch, Polynomial, parse_poly
 
 
 def p(text, n=3):
@@ -32,6 +32,14 @@ class TestPolyMap:
                     3, {tuple(exps): Fraction(rng.randrange(-3, 4) or 1)})).map)
             a, b, c = ms
             assert a.compose(b).compose(c) == a.compose(b.compose(c))
+
+    def test_mixed_dimensions(self):
+        f, g = identity(2), identity(3)
+        for chain in ([f, g], [g, f, f], [f, f, g]):
+            with pytest.raises(DimensionMismatch, match="dimension mismatch in composition"):
+                compose_all(chain)
+        with pytest.raises(DimensionMismatch, match="dimension mismatch in composition"):
+            f.compose(g)
 
     def test_identity_neutral(self):
         f = gallery("nagata")

@@ -267,34 +267,38 @@ class TestPointCheck:
     @pytest.mark.parametrize("a", [Fraction(1, P), P])
     def test_denominator_p_takes_exact_check(self, monkeypatch, a):
         f = _flipped(a)
-        recomposed, composed = [], []
+        recomposed, chains = [], []
         recompose = plane.Decomposition.compose
         monkeypatch.setattr(plane.Decomposition, "compose",
                             lambda dec: recomposed.append(dec) or recompose(dec))
         dec = peel(f)
         assert len(recomposed) == (a != P)
         assert recompose(dec) == f
-        compose = PolyMap.compose
-        monkeypatch.setattr(PolyMap, "compose",
-                            lambda m, other: composed.append(m) or compose(m, other))
+        compose_all = plane.compose_all
+        monkeypatch.setattr(plane, "compose_all",
+                            lambda maps: chains.append(len(maps)) or compose_all(maps))
         inv = dec.inverse_map()
-        # the inverse's 3 compositions, then one check per factor
-        assert len(composed) == 3 + 4
+        # the inverse's one chain, then one check of each factor
+        assert chains == [dec.length + 2] + [2] * 4
         monkeypatch.undo()
         assert f.compose(inv) == identity(2) == inv.compose(f)
 
     def test_no_exact_recomposition(self, monkeypatch):
         # with no denominator divisible by P, peel composes nothing and
-        # inverse_map only the inverse
+        # inverse_map only the inverse, as one chain that neither composes
+        # nor substitutes step by step
         f, _, _ = random_plane_chain(random.Random(11))
-        composed = []
-        compose = PolyMap.compose
-        monkeypatch.setattr(PolyMap, "compose",
-                            lambda m, other: composed.append(m) or compose(m, other))
+        chains, stepped = [], []
+        compose_all = plane.compose_all
+        monkeypatch.setattr(plane, "compose_all",
+                            lambda maps: chains.append(len(maps)) or compose_all(maps))
+        monkeypatch.setattr(PolyMap, "compose", lambda m, other: stepped.append(m))
+        monkeypatch.setattr(Polynomial, "substitute", lambda p, args: stepped.append(p))
         dec = peel(f)
-        assert composed == []
+        assert chains == []
         dec.inverse_map()
-        assert len(composed) == dec.length + 1
+        assert chains == [dec.length + 2]
+        assert stepped == []
 
 
 class TestRandomChains:
