@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
 from typing import Sequence
 
 from . import linalg, poly
@@ -97,31 +96,15 @@ def identity(n: int) -> PolyMap:
 
 
 def compose_all(maps: Sequence[PolyMap]) -> PolyMap:
-    """Left-to-right composition: maps[0] . maps[1] . ... . maps[-1].
-
-    One packed layout serves the chain, its width fixed by degree bounds
-    from the right: deg (m . G)_j <= max over the monomials e of m_j of
-    sum_i e_i * deg G_i.  The rightmost map is packed once, the outer maps
-    are substituted by ``poly._substitute_packed``, and only components
-    that changed are unpacked; the others are the rightmost map's own."""
+    """Left-to-right composition: maps[0] . maps[1] . ... . maps[-1], the
+    chain of ``poly._compose`` (one packed layout for the whole chain);
+    a component that no step changes is the rightmost map's own."""
     if not maps:
         raise ValueError("need at least one map")
     n = maps[-1].n
     if any(m.n != n for m in maps):
         raise DimensionMismatch("dimension mismatch in composition")
-    degrees, top = [1] * n, 0  # the rightmost map is bounded as m . identity
-    for m in reversed(maps):
-        degrees = [max((sum(map(mul, e, degrees)) for e in c.numerators), default=0)
-                   for c in m.components]
-        top = max([top, *degrees])
-    shifts, mask = poly._layout(n, top.bit_length())
-    running = [(poly._pack(c.numerators, shifts), c.denominator, c) for c in maps[-1].components]
-    for m in reversed(maps[:-1]):
-        running = poly._substitute_packed(
-            [(c.numerators, c.denominator) for c in m.components], running)
-    return PolyMap(tuple(r[2] if len(r) > 2 else
-                         Polynomial._make(n, poly._unpack(r[0], shifts, mask), r[1])
-                         for r in running))
+    return PolyMap(tuple(poly._compose([m.components for m in maps])))
 
 
 # ---------------------------------------------------------------------------

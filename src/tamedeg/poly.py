@@ -12,9 +12,10 @@ with ints).  Products pack each exponent tuple into one int, so a term pair
 costs one int add and one int multiply-add.  Packed keys add without
 carries, so when the largest product key is below the number of term pairs
 the products are summed into a list indexed by the key, which is then no
-longer than the pairs; otherwise into a dict.  Substitution has one packed
-core, ``_substitute_packed``: ``substitute`` packs its arguments for one
-call, and ``maps.compose_all`` packs a whole chain once.
+longer than the pairs; otherwise into a dict.  Substitution has one
+routine, ``_compose``, which runs a chain of substitutions in one packed
+layout sized by degree bounds from the right, one ``_substitute_packed``
+step per link; ``substitute``, ``**`` and ``maps.compose_all`` call it.
 
 The text grammar accepts variables ``x1..x9`` or declared aliases such as
 ``x, y, z``; integer and ``p/q`` rational literals (``q`` nonzero); operators
@@ -172,6 +173,40 @@ def _substitute_packed(polys: Sequence[tuple[Mapping, int]],
         den *= prod(d ** e_max for _, d, e_max in rational)
         images[j] = _lowest({k: v for k, v in acc.items() if v}, den)
     return images
+
+
+def _compose(chain: Sequence[Sequence["Polynomial"]]) -> list["Polynomial"]:
+    """The images of ``chain[0]`` under the chain of substitutions: each
+    polynomial of chain[i] has one variable per polynomial of chain[i + 1],
+    and the polynomials of chain[-1] share one variable count.
+
+    One packed layout serves the chain, its width fixed by degree bounds
+    from the right: the image of a monomial e under G has degree at most
+    sum_i e_i * deg G_i.  Only the chain[-1] polynomials whose variable
+    chain[-2] uses are packed, once; each outer step is
+    ``_substitute_packed``, and only the images that changed are unpacked;
+    an unchanged image is the chain[-1] polynomial itself."""
+    *outer, inner = chain
+    if not outer:
+        return list(inner)
+    n = inner[0].n if inner else 0
+    used = set()
+    for c in outer[-1]:
+        used.update(i for i, column in enumerate(zip(*c.numerators)) if any(column))
+    degrees = [max(map(sum, c.numerators), default=0) if i in used else 0
+               for i, c in enumerate(inner)]
+    top = max(degrees, default=0)
+    for layer in reversed(outer):
+        degrees = [max((sum(map(mul, e, degrees)) for e in c.numerators), default=0)
+                   for c in layer]
+        top = max([top, *degrees])
+    shifts, mask = _layout(n, top.bit_length())
+    running = [(_pack(c.numerators, shifts), c.denominator, c) if i in used else None
+               for i, c in enumerate(inner)]
+    for layer in reversed(outer):
+        running = _substitute_packed([(c.numerators, c.denominator) for c in layer], running)
+    return [r[2] if len(r) > 2 else Polynomial._make(n, _unpack(r[0], shifts, mask), r[1])
+            for r in running]
 
 
 def _sum(n: int, items: Iterable) -> "Polynomial":
@@ -383,15 +418,7 @@ class Polynomial:
             raise ValueError("exponent must be a nonnegative integer")
         if not k:
             return Polynomial.constant(self.n, 1)
-        result = None
-        base = self
-        while True:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if not k:
-                return result
-            base = base * base
+        return _compose([(Polynomial._make(1, {(k,): 1}),), (self,)])[0]
 
     # -- structure -----------------------------------------------------
 
@@ -416,10 +443,9 @@ class Polynomial:
         return Polynomial._make(self.n, out, self.denominator)
 
     def substitute(self, args: Sequence["Polynomial"]) -> "Polynomial":
-        """Evaluate at args: the image of self under x_i -> args[i].  Only
-        the arguments whose variable occurs in self are packed, in fields
-        just wide enough for this call, and ``_substitute_packed`` powers
-        them and sums the image; self = x_i returns args[i] itself."""
+        """Evaluate at args: the image of self under x_i -> args[i], the
+        two-step chain of ``_compose``, which packs only the arguments whose
+        variable occurs in self; self = x_i returns args[i] itself."""
         if len(args) != self.n:
             raise DimensionMismatch(
                 f"expected {self.n} substitution arguments, got {len(args)}")
@@ -429,22 +455,7 @@ class Polynomial:
         for a in args:
             if a.n != m:
                 raise DimensionMismatch("substitution arguments differ in variable count")
-        terms = self.numerators
-        if len(terms) == 1 and self.denominator == 1:
-            ((exps, c),) = terms.items()
-            if c == 1 and sum(exps) == 1:
-                return args[exps.index(1)]  # immutable, so safe to share
-        # No exponent of a monomial's image exceeds sum_i e_i * top_i, top_i
-        # the largest exponent in args[i], which fixes the field width.
-        used = [any(column) for column in zip(*terms)]
-        tops = [max(map(max, a.numerators), default=0) if m and u else 0
-                for a, u in zip(args, used)]
-        width = max((sum(map(mul, exps, tops)) for exps in terms), default=0).bit_length()
-        shifts, mask = _layout(m, width)
-        packed = [(_pack(a.numerators, shifts), a.denominator) if u else None
-                  for a, u in zip(args, used)]
-        ((image, den),) = _substitute_packed([(terms, self.denominator)], packed)
-        return Polynomial._make(m, _unpack(image, shifts, mask), den)
+        return _compose([(self,), args])[0]
 
     # -- comparison / display -------------------------------------------
 

@@ -323,6 +323,8 @@ def test_fields_fit_in_kernel_cases(data):
     a, b, terms, args = data
     with fields_checked():
         assert_clean(a * b, oracle_mul(a, b))
+        for k in range(5):
+            assert_clean(a ** k, oracle_pow(a, k))
         f = Polynomial(len(args), terms)
         assert_clean(f.substitute(args), oracle_substitute(f, args))
 

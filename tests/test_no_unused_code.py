@@ -1,9 +1,12 @@
-"""Every top-level function and class of the runtime is used by the runtime.
+"""Every top-level function and class of the runtime is used by the runtime,
+and the packed layout is used outside ``poly`` only where listed.
 
 A definition counts as used when some code in ``src/tamedeg`` outside the
 definition itself names it: as a name, as an attribute or in a
 ``from ... import``.  Code that only tests call is deleted, or listed in
-ALLOWED with the reason it stays.
+ALLOWED with the reason it stays.  Substitution and composition run through
+``poly._compose``; a module outside ``poly`` that names the packing helpers
+is listed in PACKING_ALLOWED with the reason it keeps its own packed loop.
 """
 import ast
 from collections import defaultdict
@@ -15,6 +18,13 @@ ALLOWED = {
     # the paper's plane theorems, kept to become invariants analyze2 checks
     "plane.length_bound": "to check the length of every decomposition",
     "plane.inverse_mdeg_prediction": "to check mdeg of every inverse",
+}
+
+PACKING = {"_layout", "_pack", "_unpack", "_substitute_packed"}
+
+PACKING_ALLOWED = {
+    "plane": "a strip's powers, where _compose's set-up costs 20-30% at k of 2-4",
+    "reductions": "the search's graded layout, whose products are never unpacked",
 }
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -50,3 +60,10 @@ def unused_definitions() -> list[str]:
 def test_every_definition_is_used():
     """An entry leaves ALLOWED once the runtime uses it."""
     assert sorted(unused_definitions()) == sorted(ALLOWED)
+
+
+def test_packing_stays_in_poly():
+    """A module leaves PACKING_ALLOWED once it composes through poly."""
+    packing = {source.stem for source in SOURCES if source.stem != "poly"
+               and PACKING & set(_names(ast.parse(source.read_text(), filename=str(source))))}
+    assert packing == set(PACKING_ALLOWED)
