@@ -145,10 +145,14 @@ def _substitute_packed(polys: Sequence[tuple[Mapping, int]],
     powers: list[dict[int, dict[int, int]]] = []
     for arg, want in zip(args, wanted):
         row, power = {}, None
-        for e in range(1, max(want, default=0) + 1):
-            power = arg[0] if power is None else _mul_packed(power, arg[0])
-            if e in want:
-                row[e] = power
+        if want and len(arg[0]) == 1:  # a term's powers need no products
+            ((key, c),) = arg[0].items()
+            row = {e: {key * e: c ** e} for e in want}
+        else:
+            for e in range(1, max(want, default=0) + 1):
+                power = arg[0] if power is None else _mul_packed(power, arg[0])
+                if e in want:
+                    row[e] = power
         powers.append(row)
     # An image's denominator is den * prod_i d_i^E_i, d_i that of args[i] and
     # E_i the largest exponent of x_i: a monomial c*x^e adds c * prod_i
