@@ -129,7 +129,8 @@ def _substitute_packed(polys: Sequence[tuple[Mapping, int]],
     a packed (numerators, denominator) pair, or None where no polynomial has
     x_i; the images are packed, in lowest terms, and x_i's is args[i]
     itself.  The powers of each argument are built once, one multiply apart
-    up to the largest exponent that occurs, for all the polynomials."""
+    up to the largest exponent that occurs (a one-term argument's with no
+    multiply), for all the polynomials."""
     images: list = [None] * len(polys)
     jobs, wanted = [], [set() for _ in args]
     for j, (terms, den) in enumerate(polys):
