@@ -193,8 +193,7 @@ def _peel_chain(f_map: PolyMap) -> Decomposition:
     top monomial of low^k; as lead(low^k) = lead(low)^k, the degree drops
     exactly when lead(rem) = c * lead(low)^k, and a stuck step stops on that
     subtraction.  k falls within a strip, so its first step builds low^2,
-    ..., low^k at once, packed in fields wide enough for low^k, and each
-    step unpacks only the power it subtracts.  Before they are built, their
+    ..., low^k at once with ``poly._powers``.  Before they are built, their
     dense term count is compared with POWER_TERMS_FACTOR times g's; above
     it, J(g) = J(F) is checked first.  So a stuck step of a map whose
     Jacobian is not a nonzero constant builds at most the powers that rule
@@ -218,7 +217,7 @@ def _peel_chain(f_map: PolyMap) -> Decomposition:
         i = int(dp < dq)  # the component to lower
         rem, low = (q, p) if i else (p, q)
         dr, dl = (dq, dp) if i else (dp, dq)
-        coeffs, powers = {}, None  # powers[j] = low ** (j + 1), packed
+        coeffs, powers = {}, None  # powers[j] = low ** (j + 1)
         while dr > dl or (dr == dl and dl > 1):
             if dr % dl:
                 raise PeelStuckError(
@@ -228,13 +227,8 @@ def _peel_chain(f_map: PolyMap) -> Decomposition:
                 dense = sum((j * dl + 1) * (j * dl + 2) // 2 for j in range(2, k + 1))
                 if dense > POWER_TERMS_FACTOR * (len(p.numerators) + len(q.numerators)):
                     _require_keller(g)
-                shifts, mask = poly._layout(2, (k * max(map(max, low.numerators))).bit_length())
-                powers = [poly._pack(low.numerators, shifts)]
-                for _ in range(k - 1):
-                    powers.append(poly._mul_packed(powers[-1], powers[0]))
-            power = low if k == 1 else Polynomial._make(
-                2, poly._unpack(powers[k - 1], shifts, mask), low.denominator ** k)
-            coeffs[k], rem = cancel_top(rem, power)
+                powers = [low, *poly._powers(low, range(2, k + 1))]
+            coeffs[k], rem = cancel_top(rem, powers[k - 1])
             if (d := rem.total_degree()) == dr:
                 raise PeelStuckError(
                     f"leading form at degree {dr} is not proportional to a "

@@ -12,10 +12,12 @@ with ints).  Products pack each exponent tuple into one int, so a term pair
 costs one int add and one int multiply-add.  Packed keys add without
 carries, so when the largest product key is below the number of term pairs
 the products are summed into a list indexed by the key, which is then no
-longer than the pairs; otherwise into a dict.  Substitution has one
-routine, ``_compose``, which runs a chain of substitutions in one packed
-layout sized by degree bounds from the right, one ``_substitute_packed``
-step per link; ``substitute``, ``**`` and ``maps.compose_all`` call it.
+longer than the pairs; otherwise into a dict.  Powers of a polynomial have
+one loop, ``_power_row``; ``_powers`` runs it for ``**`` and peel's strips.
+Substitution has one routine, ``_compose``, which runs a chain of
+substitutions in one packed layout sized by degree bounds from the right,
+one ``_substitute_packed`` step per link; ``substitute`` and
+``maps.compose_all`` call it.
 
 The text grammar accepts variables ``x1..x9`` or declared aliases such as
 ``x, y, z``; integer and ``p/q`` rational literals (``q`` nonzero); operators
@@ -123,14 +125,34 @@ def _lowest(numerators: dict, den: int) -> tuple[dict, int]:
     return {e: v // g for e, v in numerators.items()}, den // g
 
 
+def _power_row(base: dict[int, int], want) -> dict[int, dict[int, int]]:
+    """The packed powers base^e for each e >= 1 in ``want``, one multiply
+    apart up to the largest; a one-term base needs none: base^e's key is e times its key."""
+    if len(base) == 1:
+        ((key, c),) = base.items()
+        return {e: {key * e: c ** e} for e in want}
+    row, power = {}, None
+    for e in range(1, max(want) + 1):
+        power = base if power is None else _mul_packed(power, base)
+        if e in want:
+            row[e] = power
+    return row
+
+
+def _powers(p: "Polynomial", want: Sequence[int]) -> list["Polynomial"]:
+    """p^e for each e >= 1 in ``want``, in order: ``_power_row`` in one
+    packed layout whose fields hold p^max(want)'s exponents."""
+    shifts, mask = _layout(p.n, (max(want) * max(_tops(p), default=0)).bit_length())
+    row = _power_row(_pack(p.numerators, shifts), want)
+    return [Polynomial._make(p.n, _unpack(row[e], shifts, mask), p.denominator ** e) for e in want]
+
+
 def _substitute_packed(polys: Sequence[tuple[Mapping, int]],
                        args: Sequence) -> list[tuple[dict, int]]:
     """The images of (numerators, denominator) pairs under x_i -> args[i],
     a packed (numerators, denominator) pair, or None where no polynomial has
     x_i; the images are packed, in lowest terms, and x_i's is args[i]
-    itself.  The powers of each argument are built once, one multiply apart
-    up to the largest exponent that occurs (a one-term argument's with no
-    multiply), for all the polynomials."""
+    itself.  Each argument's ``_power_row`` serves all the polynomials."""
     images: list = [None] * len(polys)
     jobs, wanted = [], [set() for _ in args]
     for j, (terms, den) in enumerate(polys):
@@ -143,18 +165,7 @@ def _substitute_packed(polys: Sequence[tuple[Mapping, int]],
         for want, column in zip(wanted, columns):
             want |= column
         jobs.append((j, terms, den, columns))
-    powers: list[dict[int, dict[int, int]]] = []
-    for arg, want in zip(args, wanted):
-        row, power = {}, None
-        if want and len(arg[0]) == 1:  # a term's powers need no products
-            ((key, c),) = arg[0].items()
-            row = {e: {key * e: c ** e} for e in want}
-        else:
-            for e in range(1, max(want, default=0) + 1):
-                power = arg[0] if power is None else _mul_packed(power, arg[0])
-                if e in want:
-                    row[e] = power
-        powers.append(row)
+    powers = [_power_row(arg[0], want) if want else {} for arg, want in zip(args, wanted)]
     # An image's denominator is den * prod_i d_i^E_i, d_i that of args[i] and
     # E_i the largest exponent of x_i: a monomial c*x^e adds c * prod_i
     # d_i^(E_i - e_i) times the product of the powers it needs.
@@ -423,7 +434,7 @@ class Polynomial:
             raise ValueError("exponent must be a nonnegative integer")
         if not k:
             return Polynomial.constant(self.n, 1)
-        return _compose([(Polynomial._make(1, {(k,): 1}),), (self,)])[0]
+        return _powers(self, [k])[0] if self.numerators else self
 
     # -- structure -----------------------------------------------------
 

@@ -3,7 +3,8 @@
 A ``Polynomial`` holds integer numerators over one denominator.
 ``__mul__`` packs each exponent tuple into one int key and multiplies the
 packed operands; ``substitute`` packs and powers only the arguments whose
-variable occurs and sums scaled products of those powers into one dict.
+variable occurs and sums scaled products of those powers into one dict;
+``**`` builds its power in one packed layout, with no substitution chain.
 Packed keys add without carries, so the product kernel sums into a list
 indexed by the key when the largest product key is below the number of
 term pairs (the list is then no longer than the pairs), and into a dict
@@ -511,6 +512,30 @@ def test_ring_operations_are_canonical(data):
     for d in {sum(e) for e in a.terms} | {0}:
         assert_canonical(a.homogeneous_part(d),
                          {e: v for e, v in a.terms.items() if sum(e) == d})
+
+
+def test_powers_do_not_compose():
+    # ** and peel's strip powers are built by poly._powers, without the
+    # chain routine's set-up
+    def refuse(chain):
+        raise AssertionError("a power went through _compose")
+
+    t1 = elementary(2, 0, parse_poly("1/2*y^3", n=2)).map
+    t2 = elementary(2, 1, parse_poly("x^3 - 2/7*x^2 + x", n=2)).map
+    g = t2.compose(t1)  # the strip lowering (y + f(q)) by q = x + 1/2*y^3 has k = 3
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "_compose", refuse)
+        for n in range(4):
+            top, zero = tuple(range(1, n + 1)), (0,) * n
+            bases = [Polynomial.monomial(n, top, Fraction(-2, 3)),
+                     Polynomial(n, {top: 2, zero: -1}),
+                     Polynomial(n, {top: Fraction(1, 2), (2,) * n: Fraction(-4, 9),
+                                    zero: Fraction(5, 6)})]
+            for a, k in itertools.product(bases, range(1, 6)):
+                assert_canonical(a ** k, oracle_pow(a, k))
+        dec = peel(g)
+    assert dec.factor_degrees == [3, 3]
+    assert dec.compose() == g
 
 
 @settings(max_examples=100, deadline=None)

@@ -5,8 +5,9 @@ A definition counts as used when some code in ``src/tamedeg`` outside the
 definition itself names it: as a name, as an attribute or in a
 ``from ... import``.  Code that only tests call is deleted, or listed in
 ALLOWED with the reason it stays.  Substitution and composition run through
-``poly._compose``; a module outside ``poly`` that names the packing helpers
-is listed in PACKING_ALLOWED with the reason it keeps its own packed loop.
+``poly._compose`` and powers through ``poly._powers``; a module outside
+``poly`` that names the packing helpers is listed in PACKING_ALLOWED with the
+reason it keeps its own packed loop.
 """
 import ast
 from collections import defaultdict
@@ -20,10 +21,9 @@ ALLOWED = {
     "plane.inverse_mdeg_prediction": "to check mdeg of every inverse",
 }
 
-PACKING = {"_layout", "_pack", "_unpack", "_substitute_packed"}
+PACKING = {"_layout", "_pack", "_unpack", "_substitute_packed", "_power_row"}
 
 PACKING_ALLOWED = {
-    "plane": "a strip's powers, where _compose's set-up costs 20-30% at k of 2-4",
     "reductions": "the search's graded layout, whose products are never unpacked",
 }
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_plane_chain
-from tamedeg import plane
+from tamedeg import plane, poly
 from tamedeg.maps import Factor, PolyMap, affine, compose_all, elementary, identity
 from tamedeg.plane import (InconsistentLengthError, NotKellerError, PeelStuckError,
                            inverse_mdeg_prediction, length_bound,
@@ -14,6 +14,21 @@ from tamedeg.poly import Polynomial, parse_poly
 
 def p2(text):
     return parse_poly(text, n=2)
+
+
+def count_products(monkeypatch):
+    """Fail once more than 20 packed products are formed: every
+    product, a power's included, runs through ``poly._mul_packed``."""
+    products = []
+    mul = poly._mul_packed
+
+    def counted(a, b):
+        products.append(None)
+        if len(products) > 20:
+            raise AssertionError("powers of the lower component were built")
+        return mul(a, b)
+
+    monkeypatch.setattr(poly, "_mul_packed", counted)
 
 
 class TestPeel:
@@ -88,16 +103,7 @@ class TestPeel:
         # 999 dense powers of x^2 + x + y are above the dense rule's limit, so
         # J(g) stops the step before it builds them
         g = PolyMap((p2("x^2 + x + y"), p2("y^2000")))
-        products = []
-        mul = Polynomial.__mul__
-
-        def counted(a, b):
-            products.append(None)
-            if len(products) > 20:
-                raise AssertionError("powers of the lower component were built")
-            return mul(a, b)
-
-        monkeypatch.setattr(Polynomial, "__mul__", counted)
+        count_products(monkeypatch)
         with pytest.raises(NotKellerError, match="4000\\*x\\*y\\^1999 \\+ 2000\\*y\\^1999"):
             peel(g)
 
@@ -105,16 +111,7 @@ class TestPeel:
         # lead(x^2000) = lead(x^2 + x + y)^1000, so the strip would build the
         # 999 dense powers of x^2 + x + y; J(g) = -2000*x^1999 stops it first
         g = PolyMap((p2("x^2 + x + y"), p2("x^2000")))
-        products = []
-        mul = Polynomial.__mul__
-
-        def counted(a, b):
-            products.append(None)
-            if len(products) > 20:
-                raise AssertionError("powers of the lower component were built")
-            return mul(a, b)
-
-        monkeypatch.setattr(Polynomial, "__mul__", counted)
+        count_products(monkeypatch)
         with pytest.raises(NotKellerError) as info:
             peel(g)
         assert str(info.value) == ("Jacobian determinant is -2000*x^1999, "
