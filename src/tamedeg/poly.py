@@ -8,16 +8,16 @@ one stored form.  It has a fixed variable count ``n``.  Every ring operation
 runs on ints; ``terms``, the map from exponent tuples to normalised
 Fractions, is built on first read for callers that want Fractions.  The zero
 polynomial has total degree ``NEG_INF`` (a float -inf sentinel, comparable
-with ints).  Products pack each exponent tuple into one int, so a term pair
-costs one int add and one int multiply-add.  Packed keys add without
-carries, so when the largest product key is below the number of term pairs
-the products are summed into a list indexed by the key, which is then no
-longer than the pairs; otherwise into a dict.  Powers of a polynomial have
-one loop, ``_power_row``; ``_powers`` runs it for ``**`` and peel's strips.
-Substitution has one routine, ``_compose``, which runs a chain of
-substitutions in one packed layout sized by degree bounds from the right,
-one ``_substitute_packed`` step per link; ``substitute`` and
-``maps.compose_all`` call it.
+with ints).  The product kernel ``_mul_packed`` takes each exponent tuple
+packed into one int, so a term pair costs one int add and one int
+multiply-add.  Packed keys add without carries, so when the largest product
+key is below the number of term pairs the products are summed into a list
+indexed by the key, which is then no longer than the pairs; otherwise into
+a dict.  Only two routines pack: ``_powers``, which runs the one power loop
+``_power_row`` for ``**`` and peel's strips, and ``_compose``, which runs a
+chain of substitutions in one packed layout sized by degree bounds from the
+right, one ``_substitute_packed`` step per link, for ``substitute``,
+``maps.compose_all`` and ``*`` (a * b is the image of z0*z1 under (a, b)).
 
 The text grammar accepts variables ``x1..x9`` or declared aliases such as
 ``x, y, z``; integer and ``p/q`` rational literals (``q`` nonzero); operators
@@ -149,10 +149,10 @@ def _powers(p: "Polynomial", want: Sequence[int]) -> list["Polynomial"]:
 
 def _substitute_packed(polys: Sequence[tuple[Mapping, int]],
                        args: Sequence) -> list[tuple[dict, int]]:
-    """The images of (numerators, denominator) pairs under x_i -> args[i],
-    a packed (numerators, denominator) pair, or None where no polynomial has
-    x_i; the images are packed, in lowest terms, and x_i's is args[i]
-    itself.  Each argument's ``_power_row`` serves all the polynomials."""
+    """One ``_compose`` step: the images of (numerators, denominator) pairs
+    under x_i -> args[i], a packed (numerators, denominator) pair, or None
+    where no polynomial has x_i; the images are packed, in lowest terms, and
+    x_i's is args[i] itself.  Each argument's ``_power_row`` serves all."""
     images: list = [None] * len(polys)
     jobs, wanted = [], [set() for _ in args]
     for j, (terms, den) in enumerate(polys):
@@ -192,9 +192,10 @@ def _substitute_packed(polys: Sequence[tuple[Mapping, int]],
 
 
 def _compose(chain: Sequence[Sequence["Polynomial"]]) -> list["Polynomial"]:
-    """The images of ``chain[0]`` under the chain of substitutions: each
-    polynomial of chain[i] has one variable per polynomial of chain[i + 1],
-    and the polynomials of chain[-1] share one variable count.
+    """The images of ``chain[0]`` under the chain of substitutions, for
+    ``substitute``, ``maps.compose_all`` and ``*``: each polynomial of
+    chain[i] has one variable per polynomial of chain[i + 1], and the
+    polynomials of chain[-1] share one variable count.
 
     One packed layout serves the chain, its width fixed by degree bounds
     from the right: the image of a monomial e under G has degree at most
@@ -417,15 +418,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check(other)
-        a, b = self.numerators, other.numerators
-        if not a or not b:
-            return Polynomial.zero(self.n)
-        n = self.n
-        width = (max(map(max, a)) + max(map(max, b))).bit_length() if n else 0
-        shifts, mask = _layout(n, width)
-        out = _mul_packed(_pack(a, shifts), _pack(b, shifts))
-        return Polynomial._make(n, _unpack(out, shifts, mask),
-                                self.denominator * other.denominator)
+        return _compose([(_PRODUCT,), (self, other)])[0]
 
     __rmul__ = __mul__
 
@@ -460,8 +453,8 @@ class Polynomial:
 
     def substitute(self, args: Sequence["Polynomial"]) -> "Polynomial":
         """Evaluate at args: the image of self under x_i -> args[i], the
-        two-step chain of ``_compose``, which packs only the arguments whose
-        variable occurs in self; self = x_i returns args[i] itself."""
+        two-step chain of ``_compose`` (as ``*`` is), which packs only the
+        arguments whose variable occurs in self; x_i returns args[i] itself."""
         if len(args) != self.n:
             raise DimensionMismatch(
                 f"expected {self.n} substitution arguments, got {len(args)}")
@@ -494,6 +487,9 @@ class Polynomial:
 
     def __str__(self):
         return format_poly(self)
+
+
+_PRODUCT = Polynomial._make(2, {(1, 1): 1})  # z0*z1: a * b is its image under (a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -488,6 +488,30 @@ class TestUsage:
             EXIT_USAGE, "", "error: map JSON 'vars' must be a list of n distinct "
                             "variable names\n")
 
+    @pytest.mark.parametrize("argv, content", [
+        (["analyze2", "--map"], {"n": 2, "components": ["x1 + x2", "x2"]}),
+        (["reduce", "--target", "1", "--map"], {"n": 3, "components": ["x1 + x2", "x2", "x3"]}),
+        (["verify"], {"target": [1, 1, 1], "factors": [
+            {"n": 3, "components": ["x1 + x2", "x2", "x3"]}]}),
+    ])
+    def test_default_names_are_default_varnames(self, capsys, tmp_path, argv, content):
+        # without vars a map's names are default_varnames(n), x, y, z for
+        # n <= 3; x1..x9 are parse_poly's alternative spellings only
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(content))
+        assert run(capsys, *argv, str(path)) == (
+            EXIT_USAGE, "", "error: unknown variable 'x1' (at position 0)\n")
+
+    @pytest.mark.parametrize("argv, content", [
+        (["analyze2", "--map"], {"n": 10, "components": ["x"] * 10}),
+        (["verify"], {"target": [1, 1, 1], "factors": [{"n": 10, "components": ["x"] * 10}]}),
+    ])
+    def test_default_names_stop_at_nine(self, capsys, tmp_path, argv, content):
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(content))
+        assert run(capsys, *argv, str(path)) == (
+            EXIT_USAGE, "", "error: default variable names support at most 9 variables\n")
+
     def test_unprintable_coefficient(self, capsys, tmp_path):
         # a valid automorphism whose inverse has a coefficient of more digits
         # than Python converts to text: a message naming the limit, exit 64

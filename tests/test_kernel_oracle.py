@@ -1,9 +1,9 @@
 """Differential tests of the product kernel and the map operations on it.
 
 A ``Polynomial`` holds integer numerators over one denominator.
-``__mul__`` packs each exponent tuple into one int key and multiplies the
-packed operands; ``substitute`` packs and powers only the arguments whose
-variable occurs and sums scaled products of those powers into one dict;
+``substitute`` packs each exponent tuple into one int key, powers only the
+arguments whose variable occurs and sums scaled products of those powers
+into one dict; ``a * b`` is the same routine on z0*z1 with arguments (a, b);
 ``**`` builds its power in one packed layout, with no substitution chain.
 Packed keys add without carries, so the product kernel sums into a list
 indexed by the key when the largest product key is below the number of
@@ -136,8 +136,9 @@ def test_substitute_cancels_to_zero(c):
 
 def sums_into_list(a, b):
     """Whether ``a * b`` sums into a list: its largest packed product key
-    is below the number of term pairs."""
-    width = (max(map(max, a.numerators)) + max(map(max, b.numerators))).bit_length()
+    is below the number of term pairs.  ``*`` runs through ``_compose``,
+    whose fields are as wide as deg a + deg b."""
+    width = (a.total_degree() + b.total_degree()).bit_length()
     shifts, _ = _layout(a.n, width)
     ka, kb = _pack(a.numerators, shifts), _pack(b.numerators, shifts)
     return max(ka) + max(kb) + 1 <= len(ka) * len(kb)
@@ -536,6 +537,28 @@ def test_powers_do_not_compose():
         dec = peel(g)
     assert dec.factor_degrees == [3, 3]
     assert dec.compose() == g
+
+
+def test_products_compose():
+    # a * b is the image of z0*z1 under the chain routine; scalars take scale
+    def refuse(chain):
+        raise AssertionError("a product went through _compose")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(poly, "_compose", refuse)
+        for n in range(4):
+            top, zero = tuple(range(1, n + 1)), (0,) * n
+            operands = [Polynomial.monomial(n, top, Fraction(-2, 3)),
+                        Polynomial(n, {top: 2, zero: -1}),
+                        Polynomial(n, {top: Fraction(1, 2), (2,) * n: Fraction(-4, 9),
+                                       zero: Fraction(5, 6)}),
+                        Polynomial.zero(n)]
+            for a, b in itertools.product(operands, repeat=2):
+                with pytest.raises(AssertionError, match="went through _compose"):
+                    a * b
+            for a in operands:
+                assert_canonical(a * 3, {e: 3 * c for e, c in a.terms.items()})
+                assert_canonical(a * Fraction(1, 2), {e: c / 2 for e, c in a.terms.items()})
 
 
 @settings(max_examples=100, deadline=None)

@@ -4,10 +4,11 @@ and the packed layout is used outside ``poly`` only where listed.
 A definition counts as used when some code in ``src/tamedeg`` outside the
 definition itself names it: as a name, as an attribute or in a
 ``from ... import``.  Code that only tests call is deleted, or listed in
-ALLOWED with the reason it stays.  Substitution and composition run through
-``poly._compose`` and powers through ``poly._powers``; a module outside
-``poly`` that names the packing helpers is listed in PACKING_ALLOWED with the
-reason it keeps its own packed loop.
+ALLOWED with the reason it stays.  Substitution, composition and products
+run through ``poly._compose`` and powers through ``poly._powers``, the only
+functions of ``poly`` that lay out, pack or unpack; a module outside ``poly``
+that names the packing helpers is listed in PACKING_ALLOWED with the reason
+it keeps its own packed loop.
 """
 import ast
 from collections import defaultdict
@@ -26,6 +27,10 @@ PACKING = {"_layout", "_pack", "_unpack", "_substitute_packed", "_power_row"}
 PACKING_ALLOWED = {
     "reductions": "the search's graded layout, whose products are never unpacked",
 }
+
+LAYOUT = {"_layout", "_pack", "_unpack"}
+
+LAYOUT_USERS = {"_compose", "_powers"}
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
@@ -67,3 +72,17 @@ def test_packing_stays_in_poly():
     packing = {source.stem for source in SOURCES if source.stem != "poly"
                and PACKING & set(_names(ast.parse(source.read_text(), filename=str(source))))}
     assert packing == set(PACKING_ALLOWED)
+
+
+def test_layout_only_in_compose_and_powers():
+    """Inside ``poly``, one packed entry per concept: chains (substitution,
+    composition, products) through ``_compose`` and power lists through
+    ``_powers``.  Each method counts as a function of its own, and a
+    statement outside any function by its node type."""
+    source = next(source for source in SOURCES if source.stem == "poly")
+    users = set()
+    for node in ast.parse(source.read_text(), filename=str(source)).body:
+        for f in node.body if isinstance(node, ast.ClassDef) else [node]:
+            if LAYOUT & set(_names(f)):
+                users.add(getattr(f, "name", type(f).__name__))
+    assert users == LAYOUT_USERS
