@@ -3,6 +3,8 @@
 PolyMap is an ordered tuple of n polynomials in n variables.  The two
 generator constructors, elementary and affine, return a Factor carrying the
 map together with its exact inverse; every tame map is a composite of them.
+Every affine Factor, ``affine``'s and peel's ends, comes from the one
+constructor ``affine_factor``, which inverts on integer rows.
 """
 from __future__ import annotations
 
@@ -136,18 +138,31 @@ def elementary(n: int, i: int, f: Polynomial) -> Factor:
 def affine(matrix: Sequence[Sequence], vector: Sequence | None = None) -> Factor:
     """x -> M x + v with invertible M; raises SingularMatrixError otherwise."""
     n = len(matrix)
-    m_inv = linalg.invert_matrix(matrix)
-    v = [Fraction(0)] * n if vector is None else [Fraction(x) for x in vector]
-    if len(v) != n:
-        raise ValueError("vector length differs from matrix size")
+    v = [0] * n if vector is None else [Fraction(x) for x in vector]
+    if len(v) != n or any(len(r) != n for r in matrix):
+        raise ValueError("matrix must be square and the vector as long as its rows")
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+    return affine_factor(PolyMap(tuple(Polynomial(n, [((0,) * n, c), *zip(units, row)])
+                                       for row, c in zip(matrix, v))))
 
-    def rows_to_map(rows, shift):
-        return PolyMap(tuple(Polynomial(n, [((0,) * n, c), *zip(units, row)])
-                             for row, c in zip(rows, shift)))
 
-    inv_shift = [-sum(x * y for x, y in zip(row, v)) for row in m_inv]
-    return Factor(rows_to_map(matrix, v), rows_to_map(m_inv, inv_shift))
+def affine_factor(m: PolyMap) -> Factor:
+    """The map ``m``, of degree at most 1, with its inverse; raises
+    SingularMatrixError when its linear part A is singular.  Component i
+    over its denominator d_i is the integer row d_i * (A_i, v_i | e_i) of
+    [[A, v], [0, 1]] beside the identity; one ``linalg._gauss_jordan`` leaves
+    inverse row i an integer row over its pivot, one ``_make`` each."""
+    n = m.n
+    rows = [{**{(e.index(1) if any(e) else n): v for e, v in c.numerators.items()},
+             n + 1 + i: c.denominator} for i, c in enumerate(m.components)]
+    reduced, pivots = linalg._gauss_jordan([*rows, {n: 1, 2 * n + 1: 1}], n + 1)
+    if len(pivots) <= n:
+        raise linalg.SingularMatrixError("matrix is singular")
+    units = [tuple(int(i == j) for i in range(n)) for j in range(n)] + [(0,) * n]
+    signs = [1 if row[i] > 0 else -1 for i, row in enumerate(reduced[:n])]  # denominators > 0
+    return Factor(m, PolyMap(tuple(
+        Polynomial._make(n, {units[c - n - 1]: s * v for c, v in row.items() if c > n}, s * row[i])
+        for i, (row, s) in enumerate(zip(reduced, signs)))))
 
 
 # ---------------------------------------------------------------------------

@@ -11,12 +11,13 @@ is not an automorphism.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import poly
 # is_power_proportional is not called here; bench/spans.py times it at this name
 from .bracket import cancel_top, is_power_proportional  # noqa: F401
 from .linalg import SingularMatrixError
-from .maps import Factor, PolyMap, affine, compose_all, elementary, identity
+from .maps import Factor, PolyMap, affine, affine_factor, compose_all, elementary, identity
 from .poly import Polynomial
 
 
@@ -84,9 +85,11 @@ class Decomposition:
     def compose(self) -> PolyMap:
         return compose_all([f.map for f in reversed(self.chain)])
 
-    def at(self, pt: tuple[int, int]) -> tuple[int, int]:
-        """L2 . T_l . ... . T_1 . L1 at pt mod P, one factor at a time;
-        ValueError when P divides a denominator of a factor."""
+    @cached_property
+    def image(self) -> tuple[int, int]:
+        """L2 . T_l . ... . T_1 . L1 at POINT mod P, one factor at a time, kept
+        for peel's and inverse_map's checks; ValueError if P divides a denominator."""
+        pt = POINT
         for f in self.chain:
             pt = _at(f.map, pt)
         return pt
@@ -97,31 +100,23 @@ class Decomposition:
         Each factor's inverse is exact by construction: an elementary map
         (x + f(y), y) is undone by (x - f(y), y), and an affine one by the
         inverse matrix.  The composed inverse G is then checked by one
-        evaluation mod P: G(D(POINT)) must equal POINT, where D is this
-        decomposition pushed through its factors.  That covers every factor
-        inverse and the composition itself at the cost of one pass over G's
-        terms; the evaluation shares no code with the product kernel, so a
-        kernel bug cannot hide in it.  It is an alarm for bugs, not a proof.
-        When P divides a denominator, each factor is checked exactly against
-        its inverse instead.
+        evaluation mod P: G(D(POINT)) must equal POINT, where D(POINT) is
+        ``image``, which peel's own check has already computed.  That covers
+        every factor inverse and the composition itself at the cost of one
+        pass over G's terms; the evaluation shares no code with the product
+        kernel, so a kernel bug cannot hide in it.  It is an alarm for bugs,
+        not a proof.  When P divides a denominator, each factor is checked
+        exactly against its inverse instead.
         """
         inv = compose_all([f.inverse for f in self.chain])
         try:
-            same = _at(inv, self.at(POINT)) == POINT
+            same = _at(inv, self.image) == POINT
         except ValueError:  # P divides a denominator
             ident = identity(2)
             same = all(compose_all([f.map, f.inverse]) == ident for f in self.chain)
         if not same:
             raise AssertionError("inverse verification failed (internal bug)")
         return inv
-
-
-def _as_affine_factor(m: PolyMap) -> Factor:
-    n = m.n
-    units = [tuple(int(t == j) for t in range(n)) for j in range(n)]
-    rows = [[c.coefficient(e) for e in units] for c in m.components]
-    vec = [c.constant_term() for c in m.components]
-    return affine(rows, vec)
 
 
 def peel(f_map: PolyMap) -> Decomposition:
@@ -154,7 +149,7 @@ def peel(f_map: PolyMap) -> Decomposition:
         _require_keller(exc.remainder)
         raise
     try:
-        same = _at(f_map, POINT) == dec.at(POINT)
+        same = _at(f_map, POINT) == dec.image
     except ValueError:  # P divides a denominator
         same = dec.compose() == f_map
     if not same:
@@ -241,7 +236,7 @@ def _peel_chain(f_map: PolyMap) -> Decomposition:
 
     flip = bool(strips) and strips[-1][0] == 1
     try:
-        l1 = _as_affine_factor(PolyMap(g.components[::-1]) if flip else g)
+        l1 = affine_factor(PolyMap(g.components[::-1]) if flip else g)
     except SingularMatrixError:
         raise PeelStuckError("singular affine end", g) from None
     factors = []

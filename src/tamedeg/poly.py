@@ -30,8 +30,10 @@ before the term, power or product is formed), a number has at most as many
 digits as ``int()`` converts (``sys.get_int_max_str_digits()``), and a power
 of a parenthesised factor or a product of two factors may have at most
 ``MAX_RING_WORK`` coefficient bits.
-The tokenizer reads a whole term written without spaces, such as
-``3/4*x^2*y``, as one token, so canonical text costs one token per term.
+The tokenizer reads a canonical sum, such as ``x^2 - 3/4*x*y + 7`` spaced as
+``format_poly`` prints it, as one token where it is a whole text or a whole
+parenthesis, and any other term written without spaces, such as
+``3/4*x^2*y``, as one token, so canonical text is one token.
 Canonical printing is graded-lexicographic descending with explicit ``*``
 and coefficient 1 suppressed; a coefficient with more digits than that
 limit cannot be printed and raises ``ValueError``.
@@ -582,32 +584,33 @@ _int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")  # a variable name
 _NAME = rf"{NAME_RE.pattern}(?![A-Za-z_0-9])"
 _POWER = rf"{_NAME}(?:\^\d{{1,{len(str(MAX_EXPONENT)) - 1}}}(?![\d/]))?"
-# Groups: 1 a term ``c*m`` or ``m`` (2 its coefficient ``c``, 3 its monomial
-# ``m``), never followed by ``^``; 4 a number; 5 a name; 6 ``^`` with 7 the
-# digits of its exponent; 8 an operator; 9 any other character, so the
+_TERM = rf"(?:\d+(?:/\d+)?\*)?{_POWER}(?:\*{_POWER})*"  # ``c*m`` or ``m``
+_SUMMAND = rf"(?:{_TERM}|\d+(?:/\d+)?)"
+# Groups: 1 a canonical sum ``-?T( [-+] T)*``, T a term or a number,
+# spaced as ``format_poly`` prints it, from the start of the text or a ``(``
+# (so a failed try reads each sum once) to ``)`` or the end; 2 a term ``c*m``
+# or ``m``, never followed by ``^``; 3 a number; 4 a name; 5 ``^`` with 6
+# the digits of its exponent; 7 an operator; 8 any other character, so the
 # matches tile the text up to trailing whitespace.
 _TOKEN_RE = re.compile(
-    rf"\s*(?:((?:(\d+(?:/\d+)?)\*)?({_POWER}(?:\*{_POWER})*))(?!\s*\^)"
+    rf"\s*(?:(?<![^(])(-?{_SUMMAND}(?: [-+] {_SUMMAND})*)(?=\)|\Z)|({_TERM})(?!\s*\^)"
     rf"|(\d+/\d+|\d+)|({NAME_RE.pattern})|(\^(?:\s*(\d+)(?![\d/]))?)|([-+*()])|(\S))")
-_KINDS = {4: "num", 5: "name", 8: "op"}
+_KINDS = {1: "sum", 2: "term", 3: "num", 4: "name", 7: "op"}
 
 
 def _tokenize(text: str):
-    """``(kind, value, position, extra)`` tokens.  A term token's value is
-    its coefficient text (None when it has none) and its extra the monomial
-    text; a ``^`` token's extra is ``(digits, position)`` of its exponent,
-    or None when no digits follow it."""
+    """``(kind, value, position, extra)`` tokens.  A ``^`` token's extra is
+    ``(digits, position)`` of its exponent, or None when no digits follow
+    it; a sum or term token's value is its text."""
     tokens = []
     append = tokens.append
     for m in _TOKEN_RE.finditer(text):
         k = m.lastindex
-        if k == 1:
-            append(("term", m[2], m.start(1), m[3]))
-        elif k == 6:
-            digits = m[7]
-            append(("op", "^", m.start(6), None if digits is None else (digits, m.start(7))))
-        elif k == 9:
-            raise ParseError(f"unexpected character {m[9]!r}", m.start())
+        if k == 5:
+            digits = m[6]
+            append(("op", "^", m.start(5), None if digits is None else (digits, m.start(6))))
+        elif k == 8:
+            raise ParseError(f"unexpected character {m[8]!r}", m.start())
         else:
             append((_KINDS[k], m[k], m.start(k), None))
     append(("end", "", len(text), None))
@@ -686,13 +689,15 @@ class _Parser:
     ``term := factor ('*' factor)*``, ``factor := '-' factor | atom ['^' int]``
     and ``atom := number | name | '(' expr ')' | termtoken``.
 
-    Canonical text is read a term at a time: a term token is a whole term
+    Canonical text is read a sum at a time.  A term token is a whole term
     written without spaces, ``c*m`` or ``m`` with ``m`` a product of
-    variable powers ``v^e`` and ``c`` an integer or ``p/q``.  It is a larger
-    lexeme of the same grammar, a product of factors that no ``^`` follows,
-    so ``factor`` adds its exponents into the term's and returns its
-    coefficient.  A ``^`` token takes the digits of its exponent, so no term
-    token starts inside an exponent: ``2^3*x`` is ``8*x``, not ``2^(3*x)``.
+    variable powers ``v^e`` and ``c`` an integer or ``p/q``: a larger lexeme
+    of the same grammar, a product of factors that no ``^`` follows.  A sum
+    token is a larger one again, a whole ``expr`` of terms and numbers
+    spaced as ``format_poly`` prints it.  ``read_term`` decodes the term
+    tokens of ``factor`` and the terms of a sum in ``expr`` alike.  A ``^``
+    token takes the digits of its exponent, so no term token starts inside
+    an exponent: ``2^3*x`` is ``8*x``, not ``2^(3*x)``.
 
     A term of literals and variable powers is built as one monomial, and
     ``expr`` sums the terms' integer numerators with ``_sum``, so canonical
@@ -714,7 +719,21 @@ class _Parser:
 
     def expr(self) -> Polynomial:
         items = []
-        kind, val, _, _ = self.tokens[self.i]
+        kind, val, pos, _ = self.tokens[self.i]
+        if kind == "sum":
+            self.i += 1
+            sign = 1
+            for piece in val.split(" "):
+                if piece == "+" or piece == "-":
+                    sign = -1 if piece == "-" else 1
+                else:
+                    if piece[0] == "-":  # only the first term carries its sign
+                        sign, piece, pos = -1, piece[1:], pos + 1
+                    exps = [0] * self.n
+                    c = self.read_term(piece, pos, exps)
+                    items.append((tuple(exps), sign * c.numerator, c.denominator))
+                pos += len(piece) + 1
+            return _sum(self.n, items)
         sign = -1 if kind == "op" and val == "-" else 1
         if kind == "op" and val in "+-":
             self.i += 1
@@ -765,26 +784,36 @@ class _Parser:
                 _check_product(poly, monomial, pos)
                 return poly * monomial
 
+    def read_term(self, text: str, pos: int, exps: list[int]) -> Scalar:
+        """Decode a term token, or a number in a sum token, at ``pos``: add
+        its exponents into ``exps`` and return its coefficient (1 if none)."""
+        coeff = 1
+        if text[0].isdecimal():  # as \d matches: any Unicode decimal digit
+            num, _, text = text.partition("*")
+            coeff = _number(num, pos)
+            if not text:
+                return coeff
+            pos += len(num) + 1  # the monomial follows the coefficient and its '*'
+        index = self.index
+        for power in text.split("*"):
+            name, _, e = power.partition("^")
+            var = index.get(name)
+            if var is None:
+                raise ParseError(f"unknown variable {name!r}", pos)
+            e = exps[var] + (int(e) if e else 1)
+            if e > MAX_EXPONENT:
+                raise _exponent_error(pos)
+            exps[var] = e
+            pos += len(power) + 1
+        return coeff
+
     def factor(self, exps: list[int]) -> "Scalar | Polynomial":
         """Parse one factor.  Variable powers are added into ``exps``; the
         scalar part is returned, or the Polynomial of a parenthesised one."""
         kind, val, pos, extra = self.tokens[self.i]
         self.i += 1
         if kind == "term":
-            coeff = 1 if val is None else _number(val, pos)
-            # the monomial follows the coefficient and its '*'
-            start = pos if val is None else pos + len(val) + 1
-            for power in extra.split("*"):
-                name, _, e = power.partition("^")
-                var = self.index.get(name)
-                if var is None:
-                    raise ParseError(f"unknown variable {name!r}", start)
-                e = exps[var] + (int(e) if e else 1)
-                if e > MAX_EXPONENT:
-                    raise _exponent_error(start)
-                exps[var] = e
-                start += len(power) + 1
-            return coeff
+            return self.read_term(val, pos, exps)
         var = None
         if kind == "op" and val in "(-":
             self.depth += 1

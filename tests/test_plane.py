@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_plane_chain
-from tamedeg import plane, poly
+from tamedeg import linalg, plane, poly
 from tamedeg.maps import Factor, PolyMap, affine, compose_all, elementary, identity
 from tamedeg.plane import (InconsistentLengthError, NotKellerError, PeelStuckError,
                            inverse_mdeg_prediction, length_bound,
@@ -296,6 +296,64 @@ class TestPointCheck:
         dec.inverse_map()
         assert chains == [dec.length + 2]
         assert stepped == []
+
+
+    @pytest.mark.parametrize("a", [1, P])
+    def test_image_computed_once(self, monkeypatch, a):
+        # peel pushes POINT through L1, T_1, T_2, L2 once and inverse_map
+        # reuses that image: the only other points are F's and the inverse's
+        f = _flipped(a)
+        pushed = []
+        at = plane._at
+        monkeypatch.setattr(plane, "_at", lambda m, pt: pushed.append(m) or at(m, pt))
+        dec = peel(f)
+        assert pushed == [f, *(t.map for t in dec.chain)]
+        inv = dec.inverse_map()
+        assert pushed[len(dec.chain) + 1:] == [inv]
+        assert dec.image == at(dec.l2.map, at(dec.factors[1].map, at(
+            dec.factors[0].map, at(dec.l1.map, plane.POINT))))
+
+    def test_no_image_takes_both_exact_checks(self, monkeypatch):
+        # P divides a denominator of L1: no image is kept, so peel and
+        # inverse_map both fall back to their exact checks
+        f = _flipped(Fraction(1, P))
+        recomposed, chains = [], []
+        recompose = plane.Decomposition.compose
+        monkeypatch.setattr(plane.Decomposition, "compose",
+                            lambda dec: recomposed.append(dec) or recompose(dec))
+        dec = peel(f)
+        assert recomposed == [dec]
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                dec.image
+        assert "image" not in vars(dec)
+        compose_all = plane.compose_all
+        monkeypatch.setattr(plane, "compose_all",
+                            lambda maps: chains.append(maps) or compose_all(maps))
+        inv = dec.inverse_map()
+        assert chains[1:] == [[t.map, t.inverse] for t in dec.chain]
+        monkeypatch.undo()
+        assert f.compose(inv) == identity(2)
+
+    def test_affine_ends_not_inverted_by_matrix(self, monkeypatch):
+        # rational affine ends: peel builds L1 and L2, and inverse_map their
+        # inverses, on integer rows, never through linalg.invert_matrix
+        half, third = Fraction(1, 2), Fraction(1, 3)
+        f = compose_all([affine([[-half, third], [2, 2 * third]], [3, -half]).map,
+                         elementary(2, 1, p2("x^2 - 5*x")).map,
+                         elementary(2, 0, p2("2/3*y^3 + y")).map,
+                         affine([[half, 3], [-1, 2 * third]], [third, -2]).map])
+
+        def refused(rows):
+            raise AssertionError("invert_matrix called")
+
+        monkeypatch.setattr(linalg, "invert_matrix", refused)
+        dec = peel(f)
+        inv = dec.inverse_map()
+        monkeypatch.undo()
+        assert dec.l1.map.components[0].denominator > 1
+        assert dec.l2.map.components[0].denominator > 1
+        assert f.compose(inv) == identity(2) == inv.compose(f)
 
 
 class TestRandomChains:

@@ -1,8 +1,9 @@
 """Differential tests of ``parse_poly`` against the token-at-a-time parser
 it replaced.
 
-``poly._tokenize`` reads a whole term written without spaces as one token,
-and a ``^`` together with the digits of its exponent.  The reference below
+``poly._tokenize`` reads a canonical sum that is a whole text or a whole
+parenthesis as one token, any other term written without spaces as one
+token, and a ``^`` together with the digits of its exponent.  The reference below
 is the earlier tokenizer and parser: one token per number, name and
 operator, and one ``factor`` call per token.  It imports the limits, the
 ``ParseError`` class and ``_sum`` from the present module, and it refuses a
@@ -20,14 +21,16 @@ reference, while ``parse_poly`` refuses it (``MAX_RING_WORK``).
 """
 import random
 import re
+import time
 from fractions import Fraction
 from typing import Sequence
 
 import pytest
 
+from tamedeg import poly
 from tamedeg.poly import (MAX_EXPONENT, MAX_NESTING, NAME_RE, ParseError,
                           Polynomial, _int_max_str_digits, _sum,
-                          default_varnames, parse_poly)
+                          default_varnames, format_poly, parse_poly)
 
 # -- oracle: the parser that read one number, name or operator at a time ---
 
@@ -283,3 +286,143 @@ def test_random_strings(seed):
     rng = random.Random(seed)
     for _ in range(50_000):
         assert_same(random_text(rng), rng.choice(NAME_SETS))
+
+
+# -- the sum token: canonical text as one lexeme ----------------------------
+#
+# ``format_poly`` text is one sum token, at the start of the text or right
+# after ``(``, running to ``)`` or the end.  Each canonical text below is
+# mutated at one place, so that the sum token no longer fits it, or fits it
+# with an error inside, and must then give the oracle's answer: the same
+# stored form, or the same error text at the same position.
+
+
+def canonical_texts(rng, count):
+    """``(text, varnames, n)`` printed by ``format_poly``: 1-3 variables,
+    rational coefficients; varnames None for the default names."""
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 3)
+        names = rng.choice([None, tuple(f"x{i}" for i in range(1, n + 1)),
+                            ("a", "b_1", "c2")[:n]])
+        terms = {tuple(rng.randrange(4) for _ in range(n)):
+                 Fraction(rng.randint(-20, 20), rng.choice([1, 1, 2, 3, 12]))
+                 for _ in range(rng.randint(1, 5))}
+        out.append((format_poly(Polynomial(n, terms), names), names, n))
+    return out
+
+
+def _insert(rng, text, piece):
+    """``piece`` put into ``text`` at a random place."""
+    i = rng.randint(0, len(text))
+    return text[:i] + piece + text[i:]
+
+
+def _replace_digit(rng, text, zero):
+    """One ASCII digit of ``text`` replaced by the same digit from the
+    block of ten that starts at ``zero``."""
+    digits = [i for i, ch in enumerate(text) if ch in "0123456789"]
+    if not digits:
+        return text + " + " + zero
+    i = rng.choice(digits)
+    return text[:i] + chr(ord(zero) + int(text[i])) + text[i + 1:]
+
+
+def mutations(rng, text, name):
+    """Texts that differ from canonical ``text`` at one place; ``name`` is
+    one of its variable names."""
+    spaces = [i for i, ch in enumerate(text) if ch == " "]
+    i = rng.choice(spaces) if spaces else 0
+    long_number = "1" * ((_int_max_str_digits() or 4300) + 1)
+    yield text[:i] + " " + text[i:]  # a double space
+    yield "+" + text
+    yield "(- " + text.lstrip("-") + ")"
+    yield "(" + text + ")"
+    yield "(" + text + ")^2"
+    yield _replace_digit(rng, text, "٠")  # Arabic-Indic digits
+    yield _replace_digit(rng, text, "０")  # fullwidth digits
+    yield text.replace("^", "^0000", 1) if "^" in text else text + f" - {name}^00002"
+    yield text + f" + {name}^10000"
+    yield text + f" + {name}^10001"
+    yield text + f" - {name}^9999*{name}^9999"
+    yield text.replace(name, f"{name}^9999*{name}^9999", 1)
+    yield text + f" + 1/0*{name}"
+    yield f"1/0*{name} + " + text
+    yield text.replace(name, "q", 1)
+    yield text + " - q^2"
+    yield text + f" + {long_number}*{name}"
+    yield f"{long_number} - " + text
+    for tail in ("*", "^", ")", "$", " ", " +", f" {name}", "(", "^2"):
+        yield text + tail
+        yield "(" + text + tail
+    yield "q + " + text + "$"  # the tokenizer's error comes first
+    yield "(" + text + ")$"
+    yield "(" + text.replace(name, "q", 1) + ") + $"
+    for piece in (" ", "  ", "+", "-", "*", "^", "(", ")", "/", "0", "12", "3/4",
+                  name, "q", "$", "٣", "^10000"):
+        yield _insert(rng, text, piece)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sum_token_mutations(seed):
+    rng = random.Random(seed)
+    for text, varnames, n in canonical_texts(rng, 60):
+        assert [t[0] for t in poly._tokenize(text)] == ["sum", "end"], text
+        assert_same(text, varnames, n)
+        name = rng.choice(varnames or default_varnames(n))
+        for mutated in mutations(rng, text, name):
+            assert_same(mutated, varnames, n)
+
+
+def test_format_poly_text_takes_the_sum_token(monkeypatch):
+    """``format_poly`` text never reaches ``_Parser.term``: every term of it
+    is decoded from the one sum token."""
+    def refused(self):
+        raise AssertionError("_Parser.term reached")
+
+    monkeypatch.setattr(poly._Parser, "term", refused)
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        names = rng.choice([default_varnames(n), tuple(f"v_{i}" for i in range(n))])
+        terms = {tuple(rng.choice([0, 0, 1, 2, 7, 9999]) for _ in range(n)):
+                 Fraction(rng.randint(-10 ** 20, 10 ** 20), rng.randint(1, 10 ** 6))
+                 for _ in range(rng.randint(0, 6))}
+        p = Polynomial(n, terms)
+        assert parse_poly(format_poly(p, names), names) == p
+
+
+def _cpu_seconds(text):
+    """The least CPU time of three ``parse_poly`` calls on ``text``, and the
+    ``ParseError`` text they give."""
+    best = None
+    for _ in range(3):
+        start = time.process_time()
+        try:
+            parse_poly(text, n=3)
+            error = None
+        except ParseError as e:
+            error = f"{e} [{e.position}]"
+        spent = time.process_time() - start
+        best = spent if best is None else min(best, spent)
+    return best, error
+
+
+@pytest.mark.parametrize("tail", ["*", "$"])
+def test_failed_sum_token_is_linear(tail):
+    """A canonical text that fails at its last character costs the sum
+    token one failed try, so time stays linear in the length: 20,000 terms
+    take about 10 times as long as 2,000 (quadratic time would take about
+    100 times).  The bound is 30 times, and the error is the oracle's."""
+    rng = random.Random(9)
+    times = []
+    for count in (2_000, 20_000):
+        terms = {}
+        while len(terms) < count:
+            terms[tuple(rng.randrange(60) for _ in range(3))] = Fraction(
+                rng.randint(1, 999) * rng.choice([1, -1]), rng.randint(1, 99))
+        text = format_poly(Polynomial(3, terms)) + tail
+        spent, error = _cpu_seconds(text)
+        assert error == outcome(oracle_parse, text, None, 3)[len("ParseError: "):]
+        times.append(spent)
+    assert times[1] < 30 * times[0], times
