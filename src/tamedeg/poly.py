@@ -586,16 +586,17 @@ _NAME = rf"{NAME_RE.pattern}(?![A-Za-z_0-9])"
 _POWER = rf"{_NAME}(?:\^\d{{1,{len(str(MAX_EXPONENT)) - 1}}}(?![\d/]))?"
 _TERM = rf"(?:\d+(?:/\d+)?\*)?{_POWER}(?:\*{_POWER})*"  # ``c*m`` or ``m``
 _SUMMAND = rf"(?:{_TERM}|\d+(?:/\d+)?)"
-# Groups: 1 a canonical sum ``-?T( [-+] T)*``, T a term or a number,
-# spaced as ``format_poly`` prints it, from the start of the text or a ``(``
-# (so a failed try reads each sum once) to ``)`` or the end; 2 a term ``c*m``
-# or ``m``, never followed by ``^``; 3 a number; 4 a name; 5 ``^`` with 6
-# the digits of its exponent; 7 an operator; 8 any other character, so the
-# matches tile the text up to trailing whitespace.
+# Groups: 1 a canonical sum ``-?T( [-+] T)*``, T a term or a number, spaced
+# as ``format_poly`` prints it, from the text's start or a ``(`` (so a failed
+# try reads each sum once) to ``)`` or the end, each `` [-+] T`` matched in a
+# lookahead (2) and taken by backreference, an atomic group that keeps no
+# backtracking state per term; 3 a term ``c*m`` or ``m``, never followed by
+# ``^``; 4 a number; 5 a name; 6 ``^`` with 7 the digits of its exponent; 8
+# an operator; 9 any other character, so matches tile all but trailing blanks.
 _TOKEN_RE = re.compile(
-    rf"\s*(?:(?<![^(])(-?{_SUMMAND}(?: [-+] {_SUMMAND})*)(?=\)|\Z)|({_TERM})(?!\s*\^)"
+    rf"\s*(?:(?<![^(])(-?{_SUMMAND}(?:(?=( [-+] {_SUMMAND}))\2)*)(?=\)|\Z)|({_TERM})(?!\s*\^)"
     rf"|(\d+/\d+|\d+)|({NAME_RE.pattern})|(\^(?:\s*(\d+)(?![\d/]))?)|([-+*()])|(\S))")
-_KINDS = {1: "sum", 2: "term", 3: "num", 4: "name", 7: "op"}
+_KINDS = {1: "sum", 3: "term", 4: "num", 5: "name", 8: "op"}
 
 
 def _tokenize(text: str):
@@ -606,11 +607,11 @@ def _tokenize(text: str):
     append = tokens.append
     for m in _TOKEN_RE.finditer(text):
         k = m.lastindex
-        if k == 5:
-            digits = m[6]
-            append(("op", "^", m.start(5), None if digits is None else (digits, m.start(6))))
-        elif k == 8:
-            raise ParseError(f"unexpected character {m[8]!r}", m.start())
+        if k == 6:
+            digits = m[7]
+            append(("op", "^", m.start(6), None if digits is None else (digits, m.start(7))))
+        elif k == 9:
+            raise ParseError(f"unexpected character {m[9]!r}", m.start())
         else:
             append((_KINDS[k], m[k], m.start(k), None))
     append(("end", "", len(text), None))
