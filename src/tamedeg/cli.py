@@ -42,6 +42,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tamedeg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # command name -> the parser its argv goes to
 
     p = sub.add_parser("decide", help="classify a candidate multidegree")
     p.add_argument("degrees", type=int, nargs=3, metavar="d")
@@ -276,6 +277,9 @@ def _cmd_reduce(args) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Run one command.  An argv that starts with a command goes to that
+    command's parser, the one the top-level parser would hand it to; any
+    other argv (none, ``-h``, ``--``, an unknown word) to the top level."""
     handlers = {
         "decide": _cmd_decide,
         "enumerate": _cmd_enumerate,
@@ -285,8 +289,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "analyze2": _cmd_analyze2,
         "reduce": _cmd_reduce,
     }
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser()
     try:
-        args = _build_parser().parse_args(argv)
+        sub = parser.commands.get(argv[0]) if argv else None
+        args = (sub.parse_args(argv[1:], argparse.Namespace(command=argv[0])) if sub
+                else parser.parse_args(argv))
         return handlers[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

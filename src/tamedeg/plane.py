@@ -6,7 +6,9 @@ orientation (odd i: (x + f(y), y); even i: (x, y + f(x))), each deg f_i > 1.
 ``peel`` recovers this normalized decomposition by leading-form subtraction,
 lowering the component of higher degree in place at each step, so that every
 map it peels off has Jacobian determinant 1; failure certifies that the input
-is not an automorphism.
+is not an automorphism.  A ``Decomposition`` is frozen: a factor is replaced
+only in a new one (``dataclasses.replace``), which computes its own image at
+the point that peel's check keeps for ``inverse_map``'s.
 """
 from __future__ import annotations
 
@@ -66,7 +68,7 @@ def _at(m: PolyMap, pt: tuple[int, int]) -> tuple[int, int]:
                  * pow(c.denominator, -1, P) % P for c in m.components)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Decomposition:
     l1: Factor
     factors: list[Factor]  # T_1 .. T_l, indexed from the affine L1 side

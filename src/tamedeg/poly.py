@@ -14,9 +14,10 @@ multiply-add.  Packed keys add without carries, so when the largest product
 key is below the number of term pairs the products are summed into a list
 indexed by the key, which is then no longer than the pairs; otherwise into
 a dict.  Only two routines pack: ``_powers``, which runs the one power loop
-``_power_row`` for ``**`` and peel's strips, and ``_compose``, which runs a
-chain of substitutions in one packed layout sized by degree bounds from the
-right, one ``_substitute_packed`` step per link, for ``substitute``,
+``_power_row`` (no product for a base of at most two terms: by the binomial
+theorem) for ``**`` and peel's strips, and ``_compose``, which runs a chain
+of substitutions in one packed layout sized by degree bounds from the right,
+one ``_substitute_packed`` step per link, for ``substitute``,
 ``maps.compose_all`` and ``*`` (a * b is the image of z0*z1 under (a, b)).
 
 The text grammar accepts variables ``x1..x9`` or declared aliases such as
@@ -129,10 +130,23 @@ def _lowest(numerators: dict, den: int) -> tuple[dict, int]:
 
 def _power_row(base: dict[int, int], want) -> dict[int, dict[int, int]]:
     """The packed powers base^e for each e >= 1 in ``want``, one multiply
-    apart up to the largest; a one-term base needs none: base^e's key is e times its key."""
+    apart up to the largest.  A base of at most two terms needs none: a
+    monomial's key is multiplied by e, and (c1*m1 + c2*m2)^e holds C(e, j) *
+    c1^(e-j) * c2^j at the distinct keys (e-j)*k1 + j*k2, each coefficient the
+    exact quotient v * (e-j) * c2 // ((j+1) * c1) of the one before it."""
     if len(base) == 1:
         ((key, c),) = base.items()
         return {e: {key * e: c ** e} for e in want}
+    if len(base) == 2:
+        (k1, c1), (k2, c2) = base.items()
+        row = {}
+        for e in want:
+            key, v = e * k1, c1 ** e
+            row[e] = power = {key: v}
+            for j in range(e):
+                key, v = key + k2 - k1, v * ((e - j) * c2) // ((j + 1) * c1)
+                power[key] = v
+        return row
     row, power = {}, None
     for e in range(1, max(want) + 1):
         power = base if power is None else _mul_packed(power, base)

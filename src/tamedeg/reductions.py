@@ -15,7 +15,7 @@ from typing import Optional
 from .bracket import poisson_degree, reduced_pair_report, su_lower_bound  # noqa: F401
 from .linalg import solve_linear
 from .maps import PolyMap
-from .poly import NEG_INF, Polynomial, _layout, _mul_packed, _pack
+from .poly import NEG_INF, Polynomial, _layout, _mul_packed, _pack, _power_row
 
 # The largest composition-degree bound the CLI searches up to.  One Y-degree
 # class has a row per monomial of degree from deg F_i up to the bound and a
@@ -109,16 +109,15 @@ def bounded_reduction_search(f_map: PolyMap, i: int, degy_bound: int,
     def packed(p: Polynomial) -> dict[int, int]:
         return _pack({exps + (sum(exps),): v for exps, v in p.numerators.items()}, shifts)
 
-    # Powers of X = lo are built in full before the first class.  Powers of
-    # Y = hi, and the products X^s Y^t, are built when a class that is not
-    # pruned first reads them; a class solved at t_max = 0 builds no power
-    # of Y.  No product has a constant factor: a product with exponent 0 on
-    # one side is the other side's power itself.  Of each product only its
+    # Powers of X = lo are built in full before the first class by
+    # ``_power_row``, the one power loop (no product for at most two terms).
+    # Powers of Y = hi, and the products X^s Y^t, are built when a class that
+    # is not pruned first reads them; a class solved at t_max = 0 builds no
+    # power of Y.  No product has a constant factor: a product with exponent
+    # 0 on one side is the other side's power itself.  Of each product only its
     # monomials of degree >= deg F_i are kept for the later classes.
     one, x, y = {0: 1}, packed(lo), packed(hi)
-    pow_lo = [one, x]
-    while len(pow_lo) * d_lo <= deg_bound:
-        pow_lo.append(_mul_packed(pow_lo[-1], x))
+    pow_lo = [one, *_power_row(x, range(1, max(1, deg_bound // d_lo) + 1)).values()]
     pow_hi = [one, y]
     tops: dict[tuple[int, int], list[tuple[int, int]]] = {}
     top = {key: v for key, v in packed(target).items() if key >= floor}

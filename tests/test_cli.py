@@ -389,6 +389,37 @@ class TestEnumerate:
         assert code == 0
 
 
+def usage_calls(tmp_path):
+    """Argv lists over every command: answers, usage errors and bad files."""
+    plane = tmp_path / "plane.json"
+    plane.write_text(json.dumps({"n": 2, "components": ["x + y^2", "y"]}))
+    triangular = tmp_path / "tri.json"
+    triangular.write_text(json.dumps({"n": 3, "components": ["x", "y", "z + x^2*y"]}))
+    return [
+        ["decide", "5", "7", "24", "--json"], ["decide", "3", "4", "5"],
+        ["decide", "3", "4"], ["decide", "2", "3", "5", "--witness"],
+        ["semigroup", "3", "5", "--k", "7", "--json"], ["semigroup", "3", "5", "--gaps"],
+        ["semigroup", "3", "5"], ["enumerate", "--max", "3", "--format", "json"],
+        ["enumerate", "--max", "3"], ["enumerate", "--max", "3", "--format", "xml"],
+        ["gallery", "--mdeg"], ["gallery", "nagata", "--json"], ["gallery"],
+        ["analyze2", "--map", str(plane), "--decompose", "--inverse", "--json"],
+        ["analyze2", "--map", str(plane)], ["analyze2"],
+        ["reduce", "--map", str(triangular), "--target", "3", "--degy-bound", "2"],
+        ["reduce", "--map", str(triangular), "--target", "3", "--json"],
+        ["reduce", "--map", str(triangular)], ["bogus"], [], ["decide", "1", "2", "x"],
+    ]
+
+
+# the same argv with the command in front of, inside or beside argparse's
+# own handling: help, "--", abbreviations, bad values and unknown words
+DISPATCH_CALLS = [
+    ["decide", "-h"], ["-h"], ["--", "decide", "5", "7", "24"],
+    ["decide", "1", "2", "3", "--bogus"], ["decide", "-3", "4", "5"],
+    ["decide", "--wit", "5", "7", "24"], ["semigroup", "3", "5", "--k=7"],
+    ["Decide", "5", "7", "24"], ["dec", "5", "7", "24"],
+]
+
+
 class TestUsage:
     def test_unknown_subcommand(self, capsys):
         assert run(capsys, "bogus")[0] == EXIT_USAGE
@@ -399,23 +430,7 @@ class TestUsage:
     def test_cached_parser_matches_fresh_parsers(self, capsys, tmp_path, monkeypatch):
         """The parser is built once per process; no option value, default or
         error state may carry from one call to the next."""
-        plane = tmp_path / "plane.json"
-        plane.write_text(json.dumps({"n": 2, "components": ["x + y^2", "y"]}))
-        triangular = tmp_path / "tri.json"
-        triangular.write_text(json.dumps({"n": 3, "components": ["x", "y", "z + x^2*y"]}))
-        calls = [
-            ["decide", "5", "7", "24", "--json"], ["decide", "3", "4", "5"],
-            ["decide", "3", "4"], ["decide", "2", "3", "5", "--witness"],
-            ["semigroup", "3", "5", "--k", "7", "--json"], ["semigroup", "3", "5", "--gaps"],
-            ["semigroup", "3", "5"], ["enumerate", "--max", "3", "--format", "json"],
-            ["enumerate", "--max", "3"], ["enumerate", "--max", "3", "--format", "xml"],
-            ["gallery", "--mdeg"], ["gallery", "nagata", "--json"], ["gallery"],
-            ["analyze2", "--map", str(plane), "--decompose", "--inverse", "--json"],
-            ["analyze2", "--map", str(plane)], ["analyze2"],
-            ["reduce", "--map", str(triangular), "--target", "3", "--degy-bound", "2"],
-            ["reduce", "--map", str(triangular), "--target", "3", "--json"],
-            ["reduce", "--map", str(triangular)], ["bogus"], [], ["decide", "1", "2", "x"],
-        ]
+        calls = usage_calls(tmp_path)
 
         def outcomes():
             return [run(capsys, *argv) for argv in calls]
@@ -426,6 +441,42 @@ class TestUsage:
         monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
         assert outcomes() == cached
         assert {code for code, _, _ in cached} >= {0, 1, EXIT_USAGE}
+
+    def test_command_parser_matches_top_level_parser(self, capsys, tmp_path, monkeypatch):
+        """An argv that starts with a command goes straight to that command's
+        parser; through the top-level parser alone (no command parsers to
+        hand argv to) every call must give the same code, stdout and stderr."""
+        calls = usage_calls(tmp_path) + DISPATCH_CALLS
+
+        def outcomes():
+            results = []
+            for argv in calls:
+                try:
+                    code = main(list(argv))
+                except SystemExit as exc:
+                    code = ("SystemExit", exc.code)
+                captured = capsys.readouterr()
+                results.append((code, captured.out, captured.err))
+            return results
+
+        direct = outcomes()
+        top_level = cli._build_parser.__wrapped__()
+        top_level.commands = {}
+        monkeypatch.setattr(cli, "_build_parser", lambda: top_level)
+        assert outcomes() == direct
+        assert {code for code, _, _ in direct} >= {0, 1, EXIT_USAGE, ("SystemExit", 0)}
+
+    def test_command_argv_skips_the_top_level_parser(self, capsys, tmp_path, monkeypatch):
+        parser = cli._build_parser.__wrapped__()
+        parser.parse_args = refuse
+        monkeypatch.setattr(cli, "_build_parser", lambda: parser)
+        code, out, _ = run(capsys, "decide", "5", "7", "24", "--witness", "--json")
+        assert code == 0
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(json.loads(out)["witness"]))
+        assert run(capsys, "verify", str(path)) == (0, "OK\n", "")
+        with pytest.raises(AssertionError, match="past the limit"):
+            main(["--", "verify", str(path)])
 
     @pytest.mark.parametrize("argv, content", [
         (["analyze2", "--map"], {"n": 2}),

@@ -531,12 +531,63 @@ def test_powers_do_not_compose():
             bases = [Polynomial.monomial(n, top, Fraction(-2, 3)),
                      Polynomial(n, {top: 2, zero: -1}),
                      Polynomial(n, {top: Fraction(1, 2), (2,) * n: Fraction(-4, 9),
-                                    zero: Fraction(5, 6)})]
+                                    zero: Fraction(5, 6)}),
+                     Polynomial(n, {top: Fraction(-3, 4), zero: Fraction(5, 2)})]
             for a, k in itertools.product(bases, range(1, 6)):
                 assert_canonical(a ** k, oracle_pow(a, k))
         dec = peel(g)
     assert dec.factor_degrees == [3, 3]
     assert dec.compose() == g
+
+
+# Packed bases of at most two terms: none, one at key 0, and pairs with
+# k1 > k2 and k1 < k2, a key 0 among them, small, negative and multi-word
+# coefficients.
+BIG = 3 ** 80
+SMALL_BASES = [{}, {0: -5}, {7: BIG}, {0: 1, 9: 1}, {9: -2, 0: 3}, {4: -BIG, 11: 7},
+               {11: 6, 4: -BIG - 1}, {3: -1, 5: -1}, {5: BIG, 0: -BIG}]
+
+
+@pytest.mark.parametrize("base", SMALL_BASES, ids=str)
+@pytest.mark.parametrize("want", [{1}, {9}, {2, 5, 9}, range(1, 10)], ids=str)
+def test_power_row_matches_products(base, want):
+    # a base of at most two terms is powered without a product; each power
+    # must equal the one-apart products that a larger base takes
+    power, expected = None, {}
+    for e in range(1, max(want) + 1):
+        power = dict(base) if power is None else poly._mul_packed(power, base)
+        expected[e] = power
+    row = poly._power_row(base, want)
+    assert sorted(row) == sorted(want)
+    assert all(row[e] == expected[e] for e in want)
+
+
+def test_binomial_powers_form_no_product(monkeypatch):
+    # powers of two-term bases up to the parser's ring-work bound take the
+    # binomial theorem, not one product per unit of the exponent; the only
+    # product left is the term's, the power times its coefficient 1
+    mul = poly._mul_packed
+
+    def one_term_operand(a, b):
+        if min(len(a), len(b)) > 1:
+            raise AssertionError("a power was built by products")
+        return mul(a, b)
+
+    monkeypatch.setattr(poly, "_mul_packed", one_term_operand)
+    for text, k, terms in [("(x+y)^706", 706, 707), ("(x+1)^706", 706, 707),
+                           ("(2*x-1/3*y)^300", 300, 301)]:
+        p = parse_poly(text, ("x", "y"))
+        assert len(p.numerators) == terms and p.total_degree() == k
+    monkeypatch.undo()
+    assert parse_poly("(2*x-1/3*y)^300", ("x", "y")) == oracle_binomial(300)
+
+
+def oracle_binomial(k):
+    """(2x - y/3)^k by one-apart products."""
+    base, out = parse_poly("2*x - 1/3*y", ("x", "y")), Polynomial.constant(2, 1)
+    for _ in range(k):
+        out = out * base
+    return out
 
 
 def test_products_compose():

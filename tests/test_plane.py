@@ -1,4 +1,6 @@
+import dataclasses
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -157,7 +159,7 @@ class TestInverse:
     def test_wrong_factor_inverse_detected(self):
         dec = peel(PolyMap((p2("x"), p2("y + x^3"))))
         t = dec.factors[0]
-        dec.factors[0] = Factor(t.map, t.map)  # T in place of T^-1
+        dec = replace(dec, factors=[Factor(t.map, t.map)])  # T in place of T^-1
         with pytest.raises(AssertionError, match="inverse verification failed"):
             dec.inverse_map()
 
@@ -192,13 +194,14 @@ def _edit_top(t: Factor, edit) -> Factor:
 def _drop_flip(dec):
     """Undo the swap conjugation of the strips; L1 and L2 keep theirs."""
     s = affine([[0, 1], [1, 0]]).map
-    dec.factors = [Factor(compose_all([s, t.map, s]), compose_all([s, t.inverse, s]))
-                   for t in dec.factors]
+    return replace(dec, factors=[Factor(compose_all([s, t.map, s]),
+                                        compose_all([s, t.inverse, s]))
+                                 for t in dec.factors])
 
 
 def _edit_t1(edit):
     def corrupt(dec):
-        dec.factors[0] = _edit_top(dec.factors[0], edit)
+        return replace(dec, factors=[_edit_top(dec.factors[0], edit), *dec.factors[1:]])
     return corrupt
 
 
@@ -235,8 +238,7 @@ class TestPointCheck:
         chain = plane._peel_chain
 
         def corrupted(f_map):
-            dec = chain(f_map)
-            CORRUPTIONS[corruption](dec)
+            dec = CORRUPTIONS[corruption](chain(f_map))
             assert dec.compose() != f_map
             return dec
 
@@ -251,13 +253,9 @@ class TestPointCheck:
         dec = peel(_flipped(a))
         t = dec.chain[which]
         c0, c1 = t.inverse.components
-        bad = Factor(t.map, PolyMap((c0 + Polynomial.constant(2, 1), c1)))
-        if which == 0:
-            dec.l1 = bad
-        elif which == 3:
-            dec.l2 = bad
-        else:
-            dec.factors[which - 1] = bad
+        chain = dec.chain
+        chain[which] = Factor(t.map, PolyMap((c0 + Polynomial.constant(2, 1), c1)))
+        dec = replace(dec, l1=chain[0], factors=chain[1:-1], l2=chain[-1])
         with pytest.raises(AssertionError, match="inverse verification failed"):
             dec.inverse_map()
 
@@ -354,6 +352,18 @@ class TestPointCheck:
         assert dec.l1.map.components[0].denominator > 1
         assert dec.l2.map.components[0].denominator > 1
         assert f.compose(inv) == identity(2) == inv.compose(f)
+
+    def test_decomposition_is_frozen(self):
+        # the image peel keeps can describe no other factors: a factor is
+        # replaced only in a new decomposition, which computes its own image
+        f = compose_all([elementary(2, 0, p2("y^3")).map, affine([[1, 2], [0, 1]], [1, 0]).map])
+        dec = peel(f)
+        assert "image" in vars(dec)
+        scaled = affine([[2, 0], [0, 1]])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            dec.l2 = scaled
+        inv = replace(dec, l2=scaled).inverse_map()
+        assert compose_all([scaled.map, f, inv]) == identity(2)
 
 
 class TestRandomChains:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import planted_map
-from tamedeg import linalg, reductions
+from tamedeg import linalg, poly, reductions
 from tamedeg.linalg import solve_linear
 from tamedeg.maps import PolyMap, gallery
 from tamedeg.poly import Polynomial, parse_poly
@@ -156,13 +156,15 @@ def test_powers_of_y_stop_at_degy_bound(monkeypatch):
 
 
 def test_class_zero_builds_no_power_of_y(monkeypatch):
-    # F_1 - X^3 = z with X = F_2 = x is solved in class t_max = 0, so no
-    # power of Y = F_3 is built, and a product with exponent 0 on one side
-    # is taken as it is, not multiplied by the constant 1.  X and Y have
-    # equal degrees, so no pruning bound is computed.  Every product is a
-    # power of X: its operands are X itself or earlier products, and none
-    # is the constant, whose only packed key is 0.
-    m = PolyMap((p("z + x^3"), p("x"), p("y")))
+    # F_1 - X^3 = z with X = F_2 = x - 2*y + 3 is solved in class t_max = 0,
+    # so no power of Y = F_3 is built, and a product with exponent 0 on one
+    # side is taken as it is, not multiplied by the constant 1.  X and Y have
+    # equal degrees, so no pruning bound is computed.  Products are counted
+    # in the search and in poly's power loop; X has three terms, so each of
+    # its powers is a product.  Every product formed before the solve is a
+    # power of X: its operands are X itself or earlier products, and none is
+    # the constant, whose only packed key is 0.
+    m = PolyMap((p("z + (x - 2*y + 3)^3"), p("x - 2*y + 3"), p("y")))
     operands, products = [], []
     original = reductions._mul_packed
 
@@ -171,16 +173,17 @@ def test_class_zero_builds_no_power_of_y(monkeypatch):
         products.append(original(a, b))
         return products[-1]
     monkeypatch.setattr(reductions, "_mul_packed", recorded)
+    monkeypatch.setattr(poly, "_mul_packed", recorded)
     solves = []
 
     def counted_solve(rows, rhs, ncols):
-        solves.append(ncols)
+        solves.append((ncols, len(products)))
         return solve_linear(rows, rhs, ncols)
     monkeypatch.setattr(reductions, "solve_linear", counted_solve)
     cand = bounded_reduction_search(m, 0, 4, 12)
     assert cand.g == Polynomial(2, {(3, 0): 1})
-    assert solves == [13]  # one class: X^0..X^12
-    assert len(products) == 11  # X^2..X^12
+    assert solves == [(13, 11)]  # one class: X^0..X^12, after X^2..X^12
+    operands, products = operands[:22], products[:11]
     assert all(max(a) > 0 for a in operands)
     built = {id(q) for q in products}
     assert len({id(a) for a in operands if id(a) not in built}) == 1
@@ -215,8 +218,9 @@ def test_search_cells_bound_before_a_class_is_built(monkeypatch):
     # s <= 38 (77).
     products, solves = [], []
     original = reductions._mul_packed
-    monkeypatch.setattr(reductions, "_mul_packed",
-                        lambda a, b: products.append(1) or original(a, b))
+    for module in (reductions, poly):  # the search's products and X's powers
+        monkeypatch.setattr(module, "_mul_packed",
+                            lambda a, b: products.append(1) or original(a, b))
     monkeypatch.setattr(reductions, "solve_linear",
                         lambda rows, rhs, ncols: solves.append(ncols) or solve_linear(
                             rows, rhs, ncols))

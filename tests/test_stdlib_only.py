@@ -1,4 +1,5 @@
-"""The runtime imports only the standard library and its own modules."""
+"""The runtime imports only the standard library and its own modules, and
+parses as the oldest Python that ``pyproject.toml`` allows."""
 import ast
 import sys
 from pathlib import Path
@@ -25,6 +26,12 @@ def test_imports_are_stdlib_or_tamedeg(source):
                if not level and name.partition(".")[0] not in sys.stdlib_module_names
                and name.partition(".")[0] != "tamedeg"]
     assert outside == []
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=lambda path: path.name)
+def test_parses_as_python_3_10(source):
+    # requires-python >= 3.10; the check is best effort (ast's feature_version)
+    ast.parse(source.read_text(), filename=str(source), feature_version=(3, 10))
 
 
 def test_sources_found():
