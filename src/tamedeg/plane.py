@@ -7,8 +7,7 @@ orientation (odd i: (x + f(y), y); even i: (x, y + f(x))), each deg f_i > 1.
 lowering the component of higher degree in place at each step, so that every
 map it peels off has Jacobian determinant 1; failure certifies that the input
 is not an automorphism.  A ``Decomposition`` is frozen: a factor is replaced
-only in a new one (``dataclasses.replace``), which computes its own image at
-the point that peel's check keeps for ``inverse_map``'s.
+only in a new one (``dataclasses.replace``), whose image is of its own factors.
 """
 from __future__ import annotations
 
