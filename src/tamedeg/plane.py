@@ -6,8 +6,9 @@ orientation (odd i: (x + f(y), y); even i: (x, y + f(x))), each deg f_i > 1.
 ``peel`` recovers this normalized decomposition by leading-form subtraction,
 lowering the component of higher degree in place at each step, so that every
 map it peels off has Jacobian determinant 1; failure certifies that the input
-is not an automorphism.  A ``Decomposition`` is frozen: a factor is replaced
-only in a new one (``dataclasses.replace``), whose image is of its own factors.
+is not an automorphism.  A ``Decomposition`` is frozen and keeps its factors
+in a tuple: a factor is replaced only in a new one (``dataclasses.replace``),
+whose image is of its own factors.
 """
 from __future__ import annotations
 
@@ -70,9 +71,12 @@ def _at(m: PolyMap, pt: tuple[int, int]) -> tuple[int, int]:
 @dataclass(frozen=True)
 class Decomposition:
     l1: Factor
-    factors: list[Factor]  # T_1 .. T_l, indexed from the affine L1 side
+    factors: tuple[Factor, ...]  # T_1 .. T_l, indexed from the affine L1 side
     l2: Factor
     factor_degrees: list[int]  # deg f_i for T_1 .. T_l
+
+    def __post_init__(self):
+        object.__setattr__(self, "factors", tuple(self.factors))
 
     @property
     def length(self) -> int:

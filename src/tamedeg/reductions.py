@@ -3,12 +3,13 @@
 The search is honest about its scope: it looks for g(F_j, F_k) cancelling the
 top of F_i only within the given Y-degree and total-degree bounds, pruning
 Y-degree classes whose composition-degree lower bound already exceeds
-deg F_i.  "Absent" means "not found within bounds", nothing stronger.
+deg F_i, or whose composition degree is forced and differs from deg F_i.
+"Absent" means "not found within bounds", nothing stronger.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, gcd
 from typing import Optional
 
 # poisson_degree is not called here; bench/spans.py times it at this name
@@ -64,10 +65,14 @@ def bounded_reduction_search(f_map: PolyMap, i: int, degy_bound: int,
     before a class builds its powers of Y and products, when that class
     would take the cells set up by the search past MAX_SEARCH_CELLS.
 
-    Y is the higher-degree non-target component.  Classes of fixed Y-degree
-    are skipped when the reduced-pair lower bound for deg g(F_j, F_k) already
-    exceeds deg F_i (a reduction must cancel the top, so the composition
-    degree must equal deg F_i exactly).
+    Y is the higher-degree non-target component.  A reduction must cancel
+    the top, so deg g(F_j, F_k) must equal deg F_i exactly.  A class of fixed
+    Y-degree is skipped when the reduced-pair lower bound for that degree
+    already exceeds deg F_i, or when its Y-degree is below p = deg X /
+    gcd(deg X, deg Y) and none of its products X^s Y^t has degree deg F_i:
+    below p no two products share a degree, so the top one g uses survives
+    (the q = 0 case of the Shestakov-Umirbaev bound).  A class skipped by
+    degree still counts its cells against MAX_SEARCH_CELLS.
     """
     if f_map.n != 3:
         raise ValueError("expects a 3-dimensional map")
@@ -89,6 +94,7 @@ def bounded_reduction_search(f_map: PolyMap, i: int, degy_bound: int,
     if d_lo < 1 or d_hi < 1:
         return None
     monomials = comb(deg_bound + f_map.n, f_map.n) - comb(d_target - 1 + f_map.n, f_map.n)
+    period = d_lo // gcd(d_lo, d_hi)  # X^s Y^t with t < period have distinct degrees
     columns = 0  # summed over the classes set up so far
 
     prune = None
@@ -109,15 +115,16 @@ def bounded_reduction_search(f_map: PolyMap, i: int, degy_bound: int,
     def packed(p: Polynomial) -> dict[int, int]:
         return _pack({exps + (sum(exps),): v for exps, v in p.numerators.items()}, shifts)
 
-    # Powers of X = lo are built in full before the first class by
-    # ``_power_row``, the one power loop (no product for at most two terms).
-    # Powers of Y = hi, and the products X^s Y^t, are built when a class that
-    # is not pruned first reads them; a class solved at t_max = 0 builds no
-    # power of Y.  No product has a constant factor: a product with exponent
-    # 0 on one side is the other side's power itself.  Of each product only its
-    # monomials of degree >= deg F_i are kept for the later classes.
+    # Powers of X = lo are built in full by ``_power_row``, the one power loop
+    # (no product for at most two terms), when the first class not skipped is
+    # built.  Powers of Y = hi, and the products X^s Y^t, are built when a
+    # class that is not skipped first reads them; a class solved at t_max = 0
+    # builds no power of Y.  No product has a constant factor: a product with
+    # exponent 0 on one side is the other side's power itself.  Of each
+    # product only its monomials of degree >= deg F_i are kept for the later
+    # classes.
     one, x, y = {0: 1}, packed(lo), packed(hi)
-    pow_lo = [one, *_power_row(x, range(1, max(1, deg_bound // d_lo) + 1)).values()]
+    pow_lo = None
     pow_hi = [one, y]
     tops: dict[tuple[int, int], list[tuple[int, int]]] = {}
     top = {key: v for key, v in packed(target).items() if key >= floor}
@@ -127,12 +134,16 @@ def bounded_reduction_search(f_map: PolyMap, i: int, degy_bound: int,
             continue
         support = [(s, t)
                    for t in range(t_max + 1)
-                   for s in range(len(pow_lo))
+                   for s in range(deg_bound // d_lo + 1)
                    if s * d_lo + t * d_hi <= deg_bound]
         columns += len(support)
         if columns * monomials > MAX_SEARCH_CELLS:
             raise ValueError(f"reduction search may exceed {MAX_SEARCH_CELLS} cells "
                              f"({columns} products x {monomials} monomials)")
+        if t_max < period and d_target not in (s * d_lo + t * d_hi for s, t in support):
+            continue
+        if pow_lo is None:
+            pow_lo = [one, *_power_row(x, range(1, max(1, deg_bound // d_lo) + 1)).values()]
         while len(pow_hi) <= t_max:
             pow_hi.append(_mul_packed(pow_hi[-1], y))
         # Kill every monomial of degree >= deg F_i in F_i - sum c_m X^s Y^t:

@@ -20,7 +20,6 @@ sys.path.insert(0, str(BENCH))
 
 from spans import LAYERS, Tracer  # noqa: E402
 from tamedeg import cli  # noqa: E402
-from tamedeg.maps import gallery  # noqa: E402
 
 
 @pytest.mark.parametrize("name, sites", [(name, sites) for name, _, sites in LAYERS])
@@ -34,13 +33,15 @@ def test_traced_pass(tmp_path, capsys):
     plane_map = tmp_path / "plane.json"
     plane_map.write_text(json.dumps(
         {"n": 2, "vars": ["x", "y"], "components": ["x + y^2 + 1", "y + (x + y^2)^3"]}))
-    su_example = tmp_path / "su.json"
-    su_example.write_text(json.dumps(gallery("su_example").to_json()))
+    # X = x + y and Y = x^2 + y have degrees 1 and 2, so no class is skipped
+    # by degree and the search solves one system before it gives up
+    reduce_map = tmp_path / "reduce.json"
+    reduce_map.write_text(json.dumps({"n": 3, "components": ["z", "x + y", "x^2 + y"]}))
     with Tracer() as tracer:
         codes = [cli.main(["decide", "5", "7", "24", "--witness", "--json"]),
                  cli.main(["analyze2", "--map", str(plane_map), "--decompose",
                            "--inverse", "--json"]),
-                 cli.main(["reduce", "--map", str(su_example), "--target", "1",
+                 cli.main(["reduce", "--map", str(reduce_map), "--target", "1",
                            "--json"])]
     capsys.readouterr()
     assert codes == [0, 0, 1]

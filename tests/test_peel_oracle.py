@@ -217,7 +217,7 @@ def test_affine_maps_have_length_zero():
     rng = random.Random(5)
     for _ in range(20):
         dec = assert_same(random_affine2(rng).map)
-        assert dec[1] == [] and dec[3] == []
+        assert dec[1] == () and dec[3] == []
 
 
 @pytest.mark.parametrize("length", [1, 2, 3])

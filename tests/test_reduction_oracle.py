@@ -17,12 +17,14 @@ components, planted monomials g(F_j, F_k) on top of F_i, every target index,
 and total-degree bounds below deg Y and below deg F_i as well as above them.
 """
 import random
+from collections import Counter
 from fractions import Fraction
 from typing import Optional
 
 import pytest
 
 from conftest import planted_map
+from tamedeg import reductions
 from tamedeg.bracket import reduced_pair_report, su_lower_bound
 from tamedeg.linalg import solve_linear
 from tamedeg.maps import PolyMap
@@ -195,3 +197,29 @@ def test_rational_columns_agree():
         m = PolyMap(tuple(comps))
         cand = assert_agree(m, i, 4, 12)
         assert cand is not None
+
+
+def test_sweep_skips_classes_by_degree(monkeypatch):
+    # the search skips a class of Y-degree below p = deg X / gcd(deg X,
+    # deg Y) whose products have no degree equal to deg F_i, before solving
+    # it; the oracle solves every class.  On the seeded sweep above the
+    # search solves no class the oracle does not, and skips some it solves,
+    # so the agreement there covers the skip.
+    solves, original = Counter(), solve_linear
+
+    def counting(name):
+        def counted(rows, rhs, ncols):
+            solves[name] += 1
+            return original(rows, rhs, ncols)
+        return counted
+    monkeypatch.setattr(reductions, "solve_linear", counting("search"))
+    monkeypatch.setitem(globals(), "solve_linear", counting("oracle"))
+    skipped = 0
+    for seed in range(4):
+        rng = random.Random(1000 + seed)
+        for _ in range(100):
+            solves.clear()
+            assert_agree(*seeded_case(rng))
+            assert solves["search"] <= solves["oracle"]
+            skipped += solves["oracle"] - solves["search"]
+    assert skipped >= 1, skipped

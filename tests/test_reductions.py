@@ -5,11 +5,13 @@ import pytest
 
 from conftest import planted_map
 from tamedeg import linalg, poly, reductions
+from tamedeg.bracket import reduced_pair_report
 from tamedeg.linalg import solve_linear
 from tamedeg.maps import PolyMap, gallery
 from tamedeg.poly import Polynomial, parse_poly
 from tamedeg.reductions import (ReductionCandidate, bounded_reduction_search,
                                 check_elementary_reduction)
+from tamedeg.witness import build_469_family
 
 
 def p(text):
@@ -267,3 +269,58 @@ def test_benchmark_searches_within_half_the_bound(monkeypatch):
     su = gallery("su_example")
     for i in range(3):
         assert bounded_reduction_search(su, i, 8, 40) is None
+
+
+def count_search_work(monkeypatch):
+    """(products, solves): lists that grow by one per product formed in the
+    search or in poly's power loop, and by the column count of each solve."""
+    products, solves = [], []
+    original = reductions._mul_packed
+    for module in (reductions, poly):
+        monkeypatch.setattr(module, "_mul_packed",
+                            lambda a, b: products.append(1) or original(a, b))
+    monkeypatch.setattr(reductions, "solve_linear",
+                        lambda rows, rhs, ncols: solves.append(ncols) or solve_linear(
+                            rows, rhs, ncols))
+    return products, solves
+
+
+def test_classes_without_a_product_of_the_target_degree_are_skipped(monkeypatch):
+    # su_example has mdeg (9, 6, 8).  The products X^s Y^t of a class of
+    # Y-degree below p = deg X / gcd(deg X, deg Y) have distinct degrees, so
+    # the top one survives in g(X, Y), and a class none of whose products has
+    # degree deg F_i cannot reduce F_i: 6s + 8t, 8s + 9t and 6s + 9t are
+    # never 9, 6 and 8, and the SU bound prunes the classes of Y-degree p = 3
+    # and p = 2 and above for the first and last target.  So no power of X
+    # is built and nothing is solved: the only products are those of the
+    # Poisson bracket the SU bound reads.
+    products, solves = count_search_work(monkeypatch)
+    su = gallery("su_example")
+    for i in range(3):
+        lo, hi = sorted((c for t, c in enumerate(su.components) if t != i),
+                        key=Polynomial.total_degree)
+        products.clear()
+        reduced_pair_report(lo, hi)
+        bracket = len(products)
+        assert bounded_reduction_search(su, i, 8, 40) is None
+        assert len(products) == 2 * bracket
+    assert solves == []
+
+
+def test_cancelling_class_is_solved(monkeypatch):
+    # the (4, 6, 9) map: deg X = 4, deg Y = 6 and p = 2.  For F_3 (degree 9)
+    # the classes of Y-degree 0 and 1 hold no product of degree 9 and are
+    # skipped; in class 2, X^3 and Y^2 share degree 12, and -X^3 + Y^2
+    # cancels down to degree 1.  F_1 and F_2 are not reduced, and nothing is
+    # solved for them.
+    products, solves = count_search_work(monkeypatch)
+    m = build_469_family(0, 9).composed
+    assert m.mdeg() == (4, 6, 9)
+    cand = bounded_reduction_search(m, 2, 8, 40)
+    assert cand.g == Polynomial(2, {(3, 0): -1, (0, 2): 1})
+    assert cand.achieved_degree == 1
+    assert solves == [28]
+    solves.clear()
+    for i in (0, 1):
+        assert bounded_reduction_search(m, i, 8, 40) is None
+    assert solves == []
