@@ -33,8 +33,8 @@ def test_traced_pass(tmp_path, capsys):
     plane_map = tmp_path / "plane.json"
     plane_map.write_text(json.dumps(
         {"n": 2, "vars": ["x", "y"], "components": ["x + y^2 + 1", "y + (x + y^2)^3"]}))
-    # X = x + y and Y = x^2 + y have degrees 1 and 2, so no class is skipped
-    # by degree and the search solves one system before it gives up
+    # X = x + y has the target's degree 1, so the search solves the class of
+    # Y-degree 0 (Y = x^2 + y); the SU bound prunes the later classes
     reduce_map = tmp_path / "reduce.json"
     reduce_map.write_text(json.dumps({"n": 3, "components": ["z", "x + y", "x^2 + y"]}))
     with Tracer() as tracer:

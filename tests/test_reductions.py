@@ -290,10 +290,10 @@ def test_classes_without_a_product_of_the_target_degree_are_skipped(monkeypatch)
     # Y-degree below p = deg X / gcd(deg X, deg Y) have distinct degrees, so
     # the top one survives in g(X, Y), and a class none of whose products has
     # degree deg F_i cannot reduce F_i: 6s + 8t, 8s + 9t and 6s + 9t are
-    # never 9, 6 and 8, and the SU bound prunes the classes of Y-degree p = 3
-    # and p = 2 and above for the first and last target.  So no power of X
-    # is built and nothing is solved: the only products are those of the
-    # Poisson bracket the SU bound reads.
+    # never 9, 6 and 8.  p is 3, 8 and 2 for the three targets, and the SU
+    # bound prunes every class from p up.  So no power of X is built and
+    # nothing is solved: the only products are those of the Poisson bracket
+    # the SU bound reads.
     products, solves = count_search_work(monkeypatch)
     su = gallery("su_example")
     for i in range(3):
@@ -313,7 +313,7 @@ def test_cancelling_class_is_solved(monkeypatch):
     # skipped; in class 2, X^3 and Y^2 share degree 12, and -X^3 + Y^2
     # cancels down to degree 1.  F_1 and F_2 are not reduced, and nothing is
     # solved for them.
-    products, solves = count_search_work(monkeypatch)
+    _, solves = count_search_work(monkeypatch)
     m = build_469_family(0, 9).composed
     assert m.mdeg() == (4, 6, 9)
     cand = bounded_reduction_search(m, 2, 8, 40)
