@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from math import gcd, lcm
+from math import gcd
 from typing import Iterator, Optional
 
 from .semigroup import SemigroupPair
@@ -82,8 +82,8 @@ def _applicable_rules(d: tuple[int, int, int]) -> list[_Hit]:
     d1, d2, d3 = d
     dec = SemigroupPair(d1, d2).member(d3)
     in_sg = dec is not None
-    # find_sum_rule succeeds exactly when d1 | d2 or d3 is in <d1, d2>
-    sum_rule = find_sum_rule(d, dec) if d2 % d1 == 0 or in_sg else None
+    # found exactly when d1 | d2 or d3 is in <d1, d2>
+    sum_rule = find_sum_rule(d, dec)
     d1_prime = _is_prime(d1)
     hits = [_Hit(code, label, Status.REALIZABLE, sum_rule) for code, label, applies in (
         ("R1", "smallest degree 1", d1 == 1),

@@ -1,13 +1,12 @@
-"""Exact linear algebra over the rationals: inversion and one-solution solve.
+"""Exact linear algebra over the rationals: one Gauss-Jordan elimination.
 
-Both run one Gauss-Jordan elimination, ``_gauss_jordan``, on sparse integer
-rows: each row is a dict from column to nonzero int, so eliminating a pivot
-touches only the rows that have an entry in its column and only their
-nonzero entries.  ``solve_linear`` takes its rows in that form, as the
-reduction search builds them; ``invert_matrix`` takes dense rows of ints or
-Fractions and scales each row, its identity block included, by the lcm of
-its denominators.  Eliminating a column replaces a row by
-``p*row - f*pivot_row`` and divides it by its content (the gcd of its
+``_gauss_jordan`` runs on sparse integer rows: each row is a dict from
+column to nonzero int, so eliminating a pivot touches only the rows that
+have an entry in its column and only their nonzero entries.  Its two callers
+give it rows in that form: ``solve_linear``, as the reduction search builds
+them, and ``maps.affine_factor``, the one matrix inverse, with the integer
+rows of an affine map beside the identity.  Eliminating a column replaces a
+row by ``p*row - f*pivot_row`` and divides it by its content (the gcd of its
 entries), and a row is divided by its content before it is kept.  Every kept
 row is therefore the primitive integer multiple of the row a Fraction
 elimination would hold, and its entries grow no faster than that row's
@@ -25,7 +24,7 @@ Fractions are built only when the answer is read off.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 
@@ -96,26 +95,6 @@ def _gauss_jordan(rows: Iterable[dict[int, int]], ncols: int
                 row = _eliminate(row, echelon[c], c)
         echelon[pivots[k]] = row
     return [echelon[c] for c in pivots] + rest, pivots
-
-
-def invert_matrix(rows: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Inverse of a square matrix of ints or Fractions; raises
-    SingularMatrixError if singular."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square")
-    sparse = []
-    for i, row in enumerate(rows):
-        # [A | I] row i: the identity entry is scaled with the row
-        entries = {c: x for c, x in enumerate(row) if x}
-        entries[n + i] = 1
-        d = lcm(*(x.denominator for x in entries.values()))
-        sparse.append({c: x.numerator * (d // x.denominator) for c, x in entries.items()})
-    a, pivots = _gauss_jordan(sparse, n)
-    if len(pivots) < n:
-        raise SingularMatrixError("matrix is singular")
-    return [[Fraction(row.get(n + j, 0), row[i]) for j in range(n)]
-            for i, row in enumerate(a)]
 
 
 def solve_linear(rows: Sequence[dict[int, int]], rhs: Sequence[int], ncols: int

@@ -30,7 +30,10 @@ factor and in a product of two factors are at most ``MAX_EXPONENT`` (checked
 before the term, power or product is formed), a number has at most as many
 digits as ``int()`` converts (``sys.get_int_max_str_digits()``), and a power
 of a parenthesised factor or a product of two factors may have at most
-``MAX_RING_WORK`` coefficient bits.
+``MAX_RING_WORK`` coefficient bits.  A product ``a * b`` is the image of
+z0*z1 under (a, b) and a power ``p ** k`` that of z0^k under p, so one bound,
+``_image_bound`` on the image of a monomial, checks both before they are
+formed.
 The tokenizer reads a canonical sum, such as ``x^2 - 3/4*x*y + 7`` spaced as
 ``format_poly`` prints it, as one token where it is a whole text or a whole
 parenthesis, and any other term written without spaces, such as
@@ -45,7 +48,7 @@ import re
 import sys
 from fractions import Fraction
 from math import comb, gcd, lcm, prod
-from operator import add, mul
+from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -649,12 +652,6 @@ def _bits(c: Scalar) -> int:
     return c.numerator.bit_length() + c.denominator.bit_length()
 
 
-def _size(p: Polynomial) -> tuple[int, int]:
-    """The term count of ``p`` and a bound on the bits of one coefficient."""
-    return len(p.numerators), (max(v.bit_length() for v in p.numerators.values())
-                               + p.denominator.bit_length())
-
-
 def _check_work(terms: int, bits: int, pos: int) -> None:
     if terms * bits > MAX_RING_WORK:
         raise ParseError(f"result may exceed {MAX_RING_WORK} coefficient bits", pos)
@@ -669,34 +666,34 @@ def _tops(p: Polynomial) -> list[int]:
     return [max(column) for column in zip(*p.numerators)]
 
 
-def _check_product(a: Polynomial, b: Polynomial, pos: int) -> None:
-    """Refuse ``a * b`` when a variable's exponent in it exceeds
-    MAX_EXPONENT (its degree in each variable is the sum of theirs), or when
-    it may exceed MAX_RING_WORK: it has at most min(ta*tb, C(n + deg, n))
-    terms, each a sum of at most min(ta, tb) products of one coefficient of
-    each."""
-    if a and b:
-        if max(map(add, _tops(a), _tops(b)), default=0) > MAX_EXPONENT:
-            raise _exponent_error(pos)
-        (ta, ba), (tb, bb) = _size(a), _size(b)
-        n = a.n
-        terms = min(ta * tb, comb(n + a.total_degree() + b.total_degree(), n))
-        _check_work(terms, ba + bb + min(ta, tb).bit_length(), pos)
+def _image_bound(exps: Sequence[int], bases: Sequence[Polynomial]) -> tuple[int, int, int]:
+    """Bounds on the image of the monomial z^exps under z_i -> bases[i],
+    each base nonzero and each exponent positive: the largest exponent of
+    one variable in it, its term count, and the bits of one coefficient (its
+    numerator's plus the denominator's).  With t_i the terms of bases[i], it
+    has at most min(C(n + deg, n), prod_i C(t_i + e_i - 1, e_i)) terms (the
+    monomials of its degree, the multisets of e_i terms of each base), and
+    each coefficient sums at most prod_i t_i^e_i / max_i t_i products of e_i
+    coefficients of each base: the other choices fix the last one."""
+    top = max((sum(map(mul, exps, column)) for column in zip(*map(_tops, bases))), default=0)
+    n, sizes = bases[0].n, [len(g.numerators) for g in bases]
+    degree = sum(e * g.total_degree() for e, g in zip(exps, bases))
+    terms = min(comb(n + degree, n), prod(comb(t + e - 1, e) for t, e in zip(sizes, exps)))
+    bits = sum(e * (max(v.bit_length() for v in g.numerators.values())
+                    + g.denominator.bit_length() + t.bit_length())
+               for e, g, t in zip(exps, bases, sizes)) - max(sizes).bit_length()
+    return top, terms, bits
 
 
-def _check_power(p: Polynomial, k: int, pos: int) -> None:
-    """Refuse ``p ** k`` when a variable's exponent in it exceeds
-    MAX_EXPONENT, or when it may exceed MAX_RING_WORK: for a base of t
-    terms it has at most min(C(n + k*deg, n), C(t + k - 1, k)) terms (the
-    monomials of that degree, the multisets of k base terms), each at most
-    (t * max |coefficient|)^k over the base's denominator^k."""
-    if p and k > 1:
-        if k * max(_tops(p), default=0) > MAX_EXPONENT:
+def _check_image(exps: Sequence[int], bases: Sequence[Polynomial], pos: int) -> None:
+    """Refuse a product or power of parsed factors, the image of z^exps
+    under z_i -> bases[i], when ``_image_bound`` puts it past MAX_EXPONENT
+    or MAX_RING_WORK; a zero base makes it zero, which needs no bound."""
+    if all(bases):
+        top, terms, bits = _image_bound(exps, bases)
+        if top > MAX_EXPONENT:
             raise _exponent_error(pos)
-        t, bits = _size(p)
-        n = p.n
-        terms = min(comb(n + k * p.total_degree(), n), comb(t + k - 1, k))
-        _check_work(terms, k * (bits + t.bit_length()), pos)
+        _check_work(terms, bits, pos)
 
 
 class _Parser:
@@ -779,7 +776,7 @@ class _Parser:
                 if poly is None:
                     poly = f
                 else:
-                    _check_product(poly, f, star)
+                    _check_image((1, 1), (poly, f), star)
                     poly = poly * f
             elif coeff == 1:  # no product formed yet
                 coeff = f
@@ -796,7 +793,7 @@ class _Parser:
                 return tuple(exps), coeff
             else:
                 monomial = Polynomial.monomial(self.n, exps, coeff)
-                _check_product(poly, monomial, pos)
+                _check_image((1, 1), (poly, monomial), pos)
                 return poly * monomial
 
     def read_term(self, text: str, pos: int, exps: list[int]) -> Scalar:
@@ -867,8 +864,8 @@ class _Parser:
             if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
                 raise ParseError(f"exponent larger than {MAX_EXPONENT}", pos)
             k = int(digits)
-            if isinstance(base, Polynomial):
-                _check_power(base, k, pos)
+            if isinstance(base, Polynomial) and k > 1:
+                _check_image((k,), (base,), pos)
         if var is not None:
             exps[var] += k
             if exps[var] > MAX_EXPONENT:

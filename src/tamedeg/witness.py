@@ -13,10 +13,9 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
-from .linalg import SingularMatrixError, invert_matrix
-from .maps import Factor, PolyMap, compose_all, elementary
+from .linalg import SingularMatrixError
+from .maps import Factor, PolyMap, affine_factor, compose_all, elementary
 from .poly import Polynomial
-from .semigroup import SemigroupPair
 
 
 class ConstructionError(ValueError):
@@ -97,16 +96,14 @@ def build_sum_rule(degrees: Sequence[int], index: int, coeffs: Sequence[int]) ->
 
 
 def find_sum_rule(degrees: Sequence[int],
-                  dec: Optional[tuple[int, int]] = None) -> Optional[WitnessRecipe]:
+                  dec: Optional[tuple[int, int]]) -> Optional[WitnessRecipe]:
     """A sum-rule recipe for a sorted degree triple, if one exists.  ``dec``
-    is the decomposition of d3 in <d1, d2> when the caller has found it."""
+    is the decomposition of d3 in <d1, d2>, or None when d3 is not in it."""
     d = tuple(degrees)
     if d[1] % d[0] == 0:
         return WitnessRecipe("sum_rule",
                              {"degrees": list(d), "index": 1,
                               "coeffs": [d[1] // d[0]]})
-    if dec is None:
-        dec = SemigroupPair(d[0], d[1]).member(d[2])
     if dec is not None:
         return WitnessRecipe("sum_rule",
                              {"degrees": list(d), "index": 2,
@@ -234,7 +231,8 @@ def _is_generator(m: PolyMap) -> bool:
     variables placed before x_i.  Such a map is a diagonal linear map
     followed by elementary ones, so elementary factors, triangular and de
     Jonquieres maps (and the identity) all pass.  Only the stored form of
-    each component is read.
+    each component is read.  An affine map passes when
+    ``maps.affine_factor`` inverts it.
     """
     n = m.n
     units = [tuple(int(t == j) for t in range(n)) for j in range(n)]
@@ -254,7 +252,7 @@ def _is_generator(m: PolyMap) -> bool:
     if any(sum(e) > 1 for c in m.components for e in c.numerators):
         return False
     try:
-        invert_matrix([[c.numerators.get(u, 0) for u in units] for c in m.components])
+        affine_factor(m)
     except SingularMatrixError:
         return False
     return True

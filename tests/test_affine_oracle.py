@@ -3,25 +3,27 @@
 ``affine`` and peel's affine ends build their inverses from integer rows:
 one fraction-free elimination of [[A, v], [0, 1]] beside the identity.  The
 reference below is the construction it replaced: the inverse matrix from
-``linalg.invert_matrix`` as Fractions, the inverse shift -A^-1 v summed in
-Fractions, and each component built by ``Polynomial``.  On random invertible
-2 x 2 and 3 x 3 rational matrices and shifts both must give equal maps and
-inverses (equal stored forms), and both must refuse a singular matrix.
+``test_linalg.oracle_invert_matrix``, the Fraction Gauss-Jordan elimination,
+the inverse shift -A^-1 v summed in Fractions, and each component built by
+``Polynomial``.  On random invertible 2 x 2 and 3 x 3 rational matrices and
+shifts both must give equal maps and inverses (equal stored forms), and both
+must refuse a singular matrix.
 """
 import random
 from fractions import Fraction
 
 import pytest
 
-from tamedeg.linalg import SingularMatrixError, invert_matrix
+from tamedeg.linalg import SingularMatrixError
 from tamedeg.maps import Factor, PolyMap, affine, affine_factor, identity
 from tamedeg.poly import Polynomial
+from test_linalg import oracle_invert_matrix
 
 
 def oracle_affine(matrix, vector=None) -> Factor:
     """x -> M x + v and its inverse, the inverse matrix in Fractions."""
     n = len(matrix)
-    m_inv = invert_matrix(matrix)
+    m_inv = oracle_invert_matrix(matrix)
     v = [Fraction(0)] * n if vector is None else [Fraction(x) for x in vector]
     units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
 

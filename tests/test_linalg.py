@@ -1,10 +1,10 @@
 """Differential tests of the integer Gauss-Jordan core in ``tamedeg.linalg``.
 
-``solve_linear`` and ``invert_matrix`` eliminate on sparse primitive integer
-rows.
+``solve_linear`` and the matrix inverse of ``maps.affine`` eliminate on
+sparse primitive integer rows.
 They are checked against the ``Fraction`` Gauss-Jordan elimination they
 replaced, kept below as the oracle: equal solution vectors (free variables
-included), ``None`` on the same inconsistent systems and
+included), ``None`` on the same inconsistent systems, equal inverses and
 ``SingularMatrixError`` on the same singular matrices.  ``solve_linear``
 takes sparse integer rows, so each dense system is given to it with every
 row, right-hand side included, scaled by the lcm of its denominators
@@ -21,8 +21,8 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from tamedeg import linalg  # noqa: E402
-from tamedeg.linalg import (SingularMatrixError, _gauss_jordan,  # noqa: E402
-                            invert_matrix, solve_linear)
+from tamedeg.linalg import SingularMatrixError, _gauss_jordan, solve_linear  # noqa: E402
+from tamedeg.maps import affine  # noqa: E402
 
 # -- oracle: the Fraction Gauss-Jordan elimination, unchanged -------------
 
@@ -257,16 +257,20 @@ def test_search_shaped_systems_match_oracle(system):
 @settings(max_examples=300, deadline=None)
 @given(square_matrices())
 def test_invert_matrix_matches_oracle(rows):
+    """The linear part of ``affine(rows)``'s inverse is the inverse matrix,
+    and its shift is zero."""
     before = copied(rows)
     try:
         expected = oracle_invert_matrix(rows)
     except SingularMatrixError:
         with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
-            invert_matrix(rows)
+            affine(rows)
     else:
-        got = invert_matrix(rows)
-        assert got == expected
-        assert all(type(v) is Fraction for row in got for v in row)
+        n = len(rows)
+        units = [tuple(int(i == j) for i in range(n)) for j in range(n)]
+        inverse = affine(rows).inverse.components
+        assert [[c.coefficient(u) for u in units] for c in inverse] == expected
+        assert all(not c.constant_term() for c in inverse)
     assert copied(rows) == before
 
 
@@ -298,20 +302,6 @@ def test_fixed_cases():
     assert solve_linear([{0: 1, 1: 1}, {0: 1, 1: 1}], [1, 2], 2) is None
     # [1/2, 1/3] x = 1, its row scaled by 6
     assert solve_linear([{0: 3, 1: 2}], [6], 2) == [2, 0]
-    assert invert_matrix([]) == []
-    assert invert_matrix([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
-    assert invert_matrix([[0, Fraction(1, 2)], [4, 0]]) == [[0, Fraction(1, 4)], [2, 0]]
-    with pytest.raises(SingularMatrixError, match="^matrix is singular$"):
-        invert_matrix([[1, 2], [2, 4]])
-    with pytest.raises(SingularMatrixError):
-        invert_matrix([[0, 0], [0, 0]])
-
-
-@pytest.mark.parametrize("rows", [[[1, 2]], [[1], [2]], [[1, 0], [0]], [[1, 0], [0, 1, 0]]])
-def test_non_square_matrix(rows):
-    with pytest.raises(ValueError, match="^matrix must be square$") as info:
-        invert_matrix(rows)
-    assert not isinstance(info.value, SingularMatrixError)
 
 
 def test_rhs_length_must_match_rows():

@@ -1,5 +1,6 @@
 """Every top-level function and class of the runtime is used by the runtime,
-and the packed layout is used outside ``poly`` only where listed.
+every name a runtime module imports is used by that module, and the packed
+layout is used outside ``poly`` only where listed.
 
 A definition counts as used when some code in ``src/tamedeg`` outside the
 definition itself names it: as a name, as an attribute or in a
@@ -8,7 +9,9 @@ ALLOWED with the reason it stays.  Substitution, composition and products
 run through ``poly._compose`` and powers through ``poly._powers``, the only
 functions of ``poly`` that lay out, pack or unpack; a module outside ``poly``
 that names the packing helpers is listed in PACKING_ALLOWED with the reason
-it keeps its own packed loop.
+it keeps its own packed loop.  An import that its module does not refer to
+(``__all__`` counts) is deleted, or listed in IMPORTS_ALLOWED with the reason
+it stays.
 """
 import ast
 from collections import defaultdict
@@ -20,6 +23,13 @@ ALLOWED = {
     # the paper's plane theorems, kept to become invariants analyze2 checks
     "plane.length_bound": "to check the length of every decomposition",
     "plane.inverse_mdeg_prediction": "to check mdeg of every inverse",
+}
+
+IMPORTS_ALLOWED = {
+    "plane.is_power_proportional":
+        "bench/spans.py times plane's name in the bracket.is_power_proportional span",
+    "reductions.poisson_degree":
+        "bench/spans.py times reductions' name in the bracket.poisson_degree span",
 }
 
 PACKING = {"_layout", "_pack", "_unpack", "_substitute_packed", "_power_row"}
@@ -65,6 +75,31 @@ def unused_definitions() -> list[str]:
 def test_every_definition_is_used():
     """An entry leaves ALLOWED once the runtime uses it."""
     assert sorted(unused_definitions()) == sorted(ALLOWED)
+
+
+def unused_imports() -> list[str]:
+    """``module.name`` of each name a module imports and does not refer to,
+    as a name or in its ``__all__``."""
+    unused = []
+    for source in SOURCES:
+        tree = ast.parse(source.read_text(), filename=str(source))
+        imported, used = set(), set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and (
+                    getattr(node, "module", None) != "__future__"):
+                imported.update((a.asname or a.name).partition(".")[0] for a in node.names)
+            elif isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                    getattr(t, "id", None) == "__all__" for t in node.targets):
+                used.update(ast.literal_eval(node.value))
+        unused += [f"{source.stem}.{name}" for name in imported - used]
+    return unused
+
+
+def test_imports_are_used():
+    """An entry leaves IMPORTS_ALLOWED once its module uses the name."""
+    assert sorted(unused_imports()) == sorted(IMPORTS_ALLOWED)
 
 
 def test_packing_stays_in_poly():

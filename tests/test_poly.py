@@ -5,13 +5,14 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tamedeg.poly import (MAX_EXPONENT, MAX_RING_WORK, NEG_INF, DimensionMismatch,
-                          ParseError, Polynomial, format_poly, parse_poly)
+                          ParseError, Polynomial, _image_bound, format_poly, parse_poly)
 
 
 _INT_DIGITS = sys.get_int_max_str_digits()
@@ -19,6 +20,34 @@ _INT_DIGITS = sys.get_int_max_str_digits()
 
 def p(text, n=3):
     return parse_poly(text, n=n)
+
+
+def tops(f):
+    return [max(column) for column in zip(*f.numerators)]
+
+
+def size(f):
+    """The term count of ``f`` and the bits of its largest coefficient."""
+    return len(f.numerators), (max(v.bit_length() for v in f.numerators.values())
+                               + f.denominator.bit_length())
+
+
+def product_bound(a, b):
+    """The bound that the parser checked each product against before
+    ``_image_bound``, unchanged: the oracle for ``(1, 1), (a, b)``."""
+    (ta, ba), (tb, bb) = size(a), size(b)
+    terms = min(ta * tb, comb(a.n + a.total_degree() + b.total_degree(), a.n))
+    return (max(map(sum, zip(tops(a), tops(b))), default=0), terms,
+            ba + bb + min(ta, tb).bit_length())
+
+
+def nonzero_polynomials(n):
+    return st.dictionaries(
+        st.tuples(*[st.integers(0, 4)] * n),
+        st.one_of(st.fractions(min_value=-9, max_value=9, max_denominator=6),
+                  st.fractions(min_value=-10 ** 9, max_value=10 ** 9, max_denominator=10 ** 4),
+                  st.integers(-10 ** 20, 10 ** 20)).filter(bool),
+        min_size=1, max_size=5).map(lambda terms: Polynomial(n, terms))
 
 
 class TestArithmetic:
@@ -329,6 +358,26 @@ class TestParsePrint:
         big = parse_poly("10^1000*(x + 10^3000*y^2)^2", n=2)
         assert big == Polynomial(2, {(2, 0): 10 ** 1000, (1, 2): 2 * 10 ** 4000,
                                      (0, 4): 10 ** 7000})
+
+    def test_ring_work_limit_on_powers_of_four_terms(self):
+        # the power bound counts bitlen(t) bits less per coefficient than the
+        # product bound would for the same k factors, so this is accepted
+        assert len(parse_poly("(x - y + z + 1)^38", n=3).numerators) == comb(41, 3)
+        with pytest.raises(ParseError, match="coefficient bits"):
+            parse_poly("(x - y + z + 1)^39", n=3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+        nonzero_polynomials(n), nonzero_polynomials(n), st.integers(2, 7))))
+    def test_image_bound_holds(self, case):
+        """The formed product and power never pass their bound, and the
+        product's bound is the one the parser used before."""
+        a, b, k = case
+        for exps, bases, image in [((1, 1), (a, b), a * b), ((k,), (a,), a ** k)]:
+            top, terms, bits = _image_bound(exps, bases)
+            t, largest = size(image)
+            assert max(tops(image)) <= top and t <= terms and largest <= bits
+        assert _image_bound((1, 1), (a, b)) == product_bound(a, b)
 
     @pytest.mark.parametrize("text", ["x^2 + 3*y - 7", "1/2*x*y - 2/3", "0"])
     def test_copy_and_pickle(self, text):

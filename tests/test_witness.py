@@ -7,6 +7,7 @@ import pytest
 from tamedeg.classify import Status, classify
 from tamedeg.maps import gallery
 from tamedeg.poly import Polynomial
+from tamedeg.semigroup import SemigroupPair
 from tamedeg.witness import (ConstructionError, Witness, WitnessRecipe, build,
                              build_469_family, build_4k2, build_sum_rule,
                              build_tab_tail, find_sum_rule, tab_tail_start,
@@ -32,11 +33,12 @@ class TestSumRule:
             build_sum_rule((3, 4, 6), 2, [1, 1])
 
     def test_find_sum_rule(self):
-        assert find_sum_rule((5, 7, 24)) is not None
-        assert build(find_sum_rule((5, 7, 24))).verified_mdeg == (5, 7, 24)
-        assert find_sum_rule((5, 7, 23)) is None
+        dec = SemigroupPair(5, 7).member(24)
+        assert find_sum_rule((5, 7, 24), dec) is not None
+        assert build(find_sum_rule((5, 7, 24), dec)).verified_mdeg == (5, 7, 24)
+        assert find_sum_rule((5, 7, 23), SemigroupPair(5, 7).member(23)) is None
         # divisible middle degree short-circuits at index 1
-        recipe = find_sum_rule((3, 6, 7))
+        recipe = find_sum_rule((3, 6, 7), SemigroupPair(3, 6).member(7))
         assert recipe.params["index"] == 1
 
     def test_plane_divisible_pair(self):
@@ -52,7 +54,7 @@ class TestSumRule:
                 for d1 in range(1, d2 + 1):
                     d = (d1, d2, d3)
                     if any(d[b] % d[a] == 0 for a in range(3) for b in range(a + 1, 3)):
-                        assert find_sum_rule(d) is not None, d
+                        assert find_sum_rule(d, SemigroupPair(d1, d2).member(d3)) is not None, d
 
     @pytest.mark.parametrize("kind", ["padding", "plane", "nope"])
     def test_unknown_kind_rejected(self, kind):
@@ -171,7 +173,7 @@ class TestTabTail:
         # where both builders apply they must land on the same multidegree
         for a, b in [(4, 6), (4, 10), (5, 6)]:
             for d3 in range(tab_tail_start(a, b), 30):
-                recipe = find_sum_rule((a, b, d3))
+                recipe = find_sum_rule((a, b, d3), SemigroupPair(a, b).member(d3))
                 w = build_tab_tail(a, b, d3)
                 assert w.verified_mdeg == (a, b, d3)
                 if recipe is not None:
