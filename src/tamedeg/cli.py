@@ -11,6 +11,7 @@ import functools
 import itertools
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Optional, Sequence
 
 from . import plane, reductions, semigroup, witness
@@ -98,6 +99,38 @@ def _read_json(path: str):
             raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
+def _json_text(value, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2)`` for the values commands print: dicts
+    with str keys, lists and tuples, str, int, float, bool and None.
+    ``newline`` is a line break followed by the indent of ``value``'s closing
+    bracket.  CPython encodes indented JSON in pure Python; this writer makes
+    the same bytes with one join per container."""
+    if isinstance(value, str):
+        return _encode_str(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        return json.dumps(value)  # NaN, Infinity and -Infinity as json spells them
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [_encode_str(k) + ": " + _json_text(v, inner) for k, v in value.items()]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        items = [_json_text(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def _cmd_decide(args) -> int:
     d1, d2, d3 = args.degrees
     if args.witness and max(args.degrees) > MAX_EXPONENT:
@@ -117,7 +150,7 @@ def _cmd_decide(args) -> int:
         built = witness.build(result.witness_recipe)
         payload["witness"] = built.to_json()
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
     else:
         print(f"{result.sorted_mdeg}: {result.status.value} [{result.rule}]")
         for note in result.notes:
@@ -129,12 +162,12 @@ def _cmd_decide(args) -> int:
 
 
 def _print_json_array(items, chunk: int = 1000) -> None:
-    """Print json.dumps(list(items), indent=2) without holding the list, by
+    """Print _json_text(list(items)) without holding the list, by
     joining the inner text of the arrays of each chunk of items."""
     items = iter(items)
     sep = "[\n"
     while part := list(itertools.islice(items, chunk)):
-        print(sep + json.dumps(part, indent=2)[2:-2], end="")
+        print(sep + _json_text(part)[2:-2], end="")
         sep = ",\n"
     print("\n]" if sep == ",\n" else "[]")
 
@@ -186,7 +219,7 @@ def _cmd_semigroup(args) -> int:
         payload["frobenius"] = pair.frobenius()
         payload["gaps"] = pair.gaps(args.min_k)
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
     elif args.k is not None:
         dec = payload["decomposition"]
         if dec is None:
@@ -209,7 +242,7 @@ def _cmd_gallery(args) -> int:
     if args.mdeg:
         print(" ".join(str(d) for d in m.mdeg()))
     elif args.json:
-        print(json.dumps(m.to_json(), indent=2))
+        print(_json_text(m.to_json()))
     else:
         print(m)
     return 0
@@ -241,7 +274,7 @@ def _cmd_analyze2(args) -> int:
         payload["factors"] = [f.map.to_json() for f in dec.factors]
         payload["l2"] = dec.l2.map.to_json()
     if args.json:
-        print(json.dumps(payload, indent=2))
+        print(_json_text(payload))
     else:
         print(f"length {dec.length}, factor degrees {dec.factor_degrees}")
         if args.inverse:
@@ -263,13 +296,12 @@ def _cmd_reduce(args) -> int:
     cand = reductions.bounded_reduction_search(
         m, args.target - 1, args.degy_bound, args.deg_bound)
     if cand is None:
-        print(json.dumps({"found": False}, indent=2) if args.json
+        print(_json_text({"found": False}) if args.json
               else "not found within bounds")
         return 1
     g = format_poly(cand.g, ("X", "Y"))
     if args.json:
-        print(json.dumps({"found": True, "g": g,
-                          "achieved_degree": cand.achieved_degree}, indent=2))
+        print(_json_text({"found": True, "g": g, "achieved_degree": cand.achieved_degree}))
     else:
         print(f"g = {g} (reduces component {args.target} "
               f"to degree {cand.achieved_degree})")

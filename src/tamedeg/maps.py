@@ -8,6 +8,7 @@ constructor ``affine_factor``, which inverts on integer rows.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -93,6 +94,7 @@ class PolyMap:
         return "(" + ", ".join(format_poly(c, names) for c in self.components) + ")"
 
 
+@functools.cache  # a frozen map of immutable polynomials, safe to share
 def identity(n: int) -> PolyMap:
     return PolyMap(tuple(Polynomial.variable(n, i) for i in range(n)))
 
@@ -128,11 +130,15 @@ def elementary(n: int, i: int, f: Polynomial) -> Factor:
         raise IndexError("coordinate index out of range")
     if f.involves(i):
         raise ValueError(f"f may not involve variable {i}")
-    comps = list(identity(n).components)
-    inv = list(comps)
-    comps[i] = comps[i] + f
-    inv[i] = inv[i] - f
-    return Factor(PolyMap(tuple(comps)), PolyMap(tuple(inv)))
+    # x_i +- f over f's denominator: x_i is no key of f and f is in lowest
+    # terms, so each is one _make, its terms in the order x_i + f merges them
+    comps = identity(n).components
+    (own,) = comps[i].numerators
+    den = f.denominator
+    plus = Polynomial._make(n, {own: den, **f.numerators}, den)
+    minus = Polynomial._make(n, {own: den, **{e: -v for e, v in f.numerators.items()}}, den)
+    return Factor(PolyMap(comps[:i] + (plus,) + comps[i + 1:]),
+                  PolyMap(comps[:i] + (minus,) + comps[i + 1:]))
 
 
 def affine(matrix: Sequence[Sequence], vector: Sequence | None = None) -> Factor:

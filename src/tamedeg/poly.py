@@ -29,11 +29,11 @@ the exponent of each variable in a term, in a power of a parenthesised
 factor and in a product of two factors are at most ``MAX_EXPONENT`` (checked
 before the term, power or product is formed), a number has at most as many
 digits as ``int()`` converts (``sys.get_int_max_str_digits()``), and a power
-of a parenthesised factor or a product of two factors may have at most
-``MAX_RING_WORK`` coefficient bits.  A product ``a * b`` is the image of
-z0*z1 under (a, b) and a power ``p ** k`` that of z0^k under p, so one bound,
-``_image_bound`` on the image of a monomial, checks both before they are
-formed.
+of a number or of a parenthesised factor, or a product of two factors, may
+have at most ``MAX_RING_WORK`` coefficient bits.  A product ``a * b`` is the
+image of z0*z1 under (a, b) and a power ``p ** k`` that of z0^k under p, so
+one bound, ``_image_bound`` on the image of a monomial, checks both before
+they are formed.
 The tokenizer reads a canonical sum, such as ``x^2 - 3/4*x*y + 7`` spaced as
 ``format_poly`` prints it, as one token where it is a whole text or a whole
 parenthesis, and any other term written without spaces, such as
@@ -582,11 +582,12 @@ MAX_NESTING = 100
 # proportion to the text: ``(y^10000)^30`` is y^300000.
 MAX_EXPONENT = 10_000
 
-# A power of a parenthesised factor, or a product of two factors of a term,
-# may have at most this many coefficient bits summed over its terms (bounded
-# before it is formed).  Without it a short text demands any amount of ring
-# work: (x+y+z)^400 has 80,601 terms, (3^10000)^10000 has 158 million bits,
-# and 400 factors 9^10000 multiply out to 12.7 million bits in 46 s.
+# A power of a number or of a parenthesised factor, or a product of two
+# factors of a term, may have at most this many coefficient bits summed over
+# its terms (bounded before it is formed).  Without it a short text demands
+# any amount of ring work: (x+y+z)^400 has 80,601 terms, (3^10000)^10000 has
+# 158 million bits, 400 factors 9^10000 multiply out to 12.7 million bits in
+# 46 s, and a 400-digit number to the 10000th power has 13 million bits.
 MAX_RING_WORK = 2_000_000
 
 # int() refuses digit strings longer than this many digits (0: no limit).
@@ -714,12 +715,12 @@ class _Parser:
     A term of literals and variable powers is built as one monomial, and
     ``expr`` sums the terms' integer numerators with ``_sum``, so canonical
     text parses in time linear in its length.  Only parenthesised factors
-    use ring operations; those, and products of scalar factors, are bounded
-    by MAX_RING_WORK.  A variable's exponent is refused past MAX_EXPONENT
-    where it grows: at the variable when its power is added into the term,
-    at the exponent of a power of a parenthesised factor, at the ``*`` of a
-    product of two factors, and at the token after a term whose
-    parenthesised factor meets its monomial.
+    use ring operations; those, and products and powers of numbers, are
+    bounded by MAX_RING_WORK.  A variable's exponent is refused past
+    MAX_EXPONENT where it grows: at the variable when its power is added
+    into the term, at the exponent of a power of a parenthesised factor, at
+    the ``*`` of a product of two factors, and at the token after a term
+    whose parenthesised factor meets its monomial.
     """
 
     def __init__(self, text: str, varnames: Sequence[str]):
@@ -864,8 +865,11 @@ class _Parser:
             if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
                 raise ParseError(f"exponent larger than {MAX_EXPONENT}", pos)
             k = int(digits)
-            if isinstance(base, Polynomial) and k > 1:
-                _check_image((k,), (base,), pos)
+            if isinstance(base, Polynomial):
+                if k > 1:
+                    _check_image((k,), (base,), pos)
+            elif var is None:  # a number's power has k times its bits
+                _check_work(1, k * _bits(base), pos)
         if var is not None:
             exps[var] += k
             if exps[var] > MAX_EXPONENT:

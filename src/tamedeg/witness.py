@@ -83,13 +83,9 @@ def build_sum_rule(degrees: Sequence[int], index: int, coeffs: Sequence[int]) ->
         raise ConstructionError("degrees must be positive")
     if sum(c * dj for c, dj in zip(coeffs, d)) != d[i]:
         raise ConstructionError(f"{d[i]} != sum of coeffs * earlier degrees")
-    exps = [0] * n
-    for j, c in enumerate(coeffs):
-        exps[j] = c
-    head = elementary(n, i, Polynomial.monomial(n, exps))
-    tail = [elementary(n, k, Polynomial.monomial(
-        n, tuple(d[k] if t == i else 0 for t in range(n))))
-        for k in range(n) if k != i]
+    head = elementary(n, i, Polynomial._make(n, {tuple(coeffs) + (0,) * (n - i): 1}))
+    tail = [elementary(n, k, Polynomial._make(n, {(0,) * i + (d[k],) + (0,) * (n - i - 1): 1}))
+            for k in range(n) if k != i]
     recipe = WitnessRecipe("sum_rule",
                            {"degrees": list(d), "index": i, "coeffs": list(coeffs)})
     return _finish(d, recipe, [head] + tail)
@@ -244,6 +240,8 @@ def _is_generator(m: PolyMap) -> bool:
                 break
             uses[i] = c.variables() - {i}
     else:
+        if len(uses) < 2:  # a cycle needs two f_i
+            return True
         try:
             graphlib.TopologicalSorter(uses).prepare()  # a cycle among the f_i raises
             return True

@@ -6,6 +6,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tamedeg import classify as classify_module
 from tamedeg import cli, reductions, semigroup
@@ -387,6 +389,47 @@ class TestEnumerate:
         monkeypatch.setattr(cli, "enumerate_classifications", lambda bound: iter(()))
         code, out, _ = run(capsys, "enumerate", "--max", str(MAX_ENUMERATE), "--format", fmt)
         assert code == 0
+
+
+# strings with quotes, backslashes, control characters, non-ASCII and astral
+# characters, and lone surrogates, which json escapes as \uXXXX
+json_strings = st.text() | st.text(st.sampled_from(
+    '"\\/\x00\x1f\x7f\b\n\t\u00e9\u2028\U0001f600\ud800'))
+json_scalars = (st.none() | st.booleans() | st.integers() | st.integers(-2 ** 200, 2 ** 200)
+                | st.floats() | st.sampled_from([float("inf"), float("-inf"), float("nan")])
+                | json_strings)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(json_strings, inner, max_size=4)),
+    max_leaves=20)
+
+
+class TestJsonText:
+    @settings(max_examples=300, deadline=None)
+    @given(json_values)
+    def test_matches_json_dumps(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [
+        {}, [], (), "", {"a": {}}, [[]], {"": [(), {}]}, True, False, None, -0.0, 10 ** 40,
+    ])
+    def test_empty_and_edge_values(self, value):
+        assert cli._json_text(value) == json.dumps(value, indent=2)
+
+    def test_refuses_other_values_and_keys(self):
+        # json.dumps would print the key as "1"; no command prints one
+        with pytest.raises(TypeError):
+            cli._json_text({1, 2})
+        with pytest.raises(TypeError):
+            cli._json_text({1: "int key"})
+
+    @pytest.mark.parametrize("count", [0, 1, 1000, 1001])
+    def test_array_in_default_chunks_is_one_dump(self, capsys, count):
+        items = [{"sorted": [i, i + 1, 2 * i], "status": "Realizable", "rule": f"R{i}"}
+                 for i in range(count)]
+        cli._print_json_array(iter(items))
+        assert capsys.readouterr().out == json.dumps(items, indent=2) + "\n"
 
 
 def usage_calls(tmp_path):

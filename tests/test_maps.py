@@ -105,6 +105,31 @@ class TestFactorInverses:
         with pytest.raises(ValueError):
             elementary(3, 1, p("y"))
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_elementary_is_x_i_plus_and_minus_f(self, n):
+        # each component as the ring operations x_i + f and x_i - f make it:
+        # the same terms in the same order over the same denominator
+        for i in range(n):
+            others = [Polynomial.variable(n, j) for j in range(n) if j != i]
+            fs = [Polynomial.zero(n), Polynomial.constant(n, 3),
+                  Polynomial.constant(n, Fraction(-2, 9))]
+            if others:
+                fs += [others[0] * Fraction(5, 6) + Fraction(1, 4),
+                       others[-1] ** 3 - 2 * others[0] * others[-1] + 7]
+            for f in fs:
+                factor = elementary(n, i, f)
+                for got, want in [(factor.map, identity(n).components[i] + f),
+                                  (factor.inverse, identity(n).components[i] - f)]:
+                    c = got.components[i]
+                    assert (c, c.denominator, list(c.numerators)) == (
+                        want, want.denominator, list(want.numerators))
+                    assert got.components[:i] + got.components[i + 1:] == \
+                        identity(n).components[:i] + identity(n).components[i + 1:]
+
+    def test_identity_is_shared(self):
+        assert identity(3) is identity(3)
+        assert identity(3).components == tuple(Polynomial.variable(3, i) for i in range(3))
+
     def test_affine(self):
         self.check(affine([[1, 2], [1, 3]], [5, -1]))
         with pytest.raises(SingularMatrixError):

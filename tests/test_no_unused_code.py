@@ -11,7 +11,8 @@ functions of ``poly`` that lay out, pack or unpack; a module outside ``poly``
 that names the packing helpers is listed in PACKING_ALLOWED with the reason
 it keeps its own packed loop.  An import that its module does not refer to
 (``__all__`` counts) is deleted, or listed in IMPORTS_ALLOWED with the reason
-it stays.
+it stays.  Indented JSON is printed by one writer, ``cli._json_text``, not
+by ``json.dumps(..., indent=...)``, which CPython encodes in pure Python.
 """
 import ast
 from collections import defaultdict
@@ -121,3 +122,13 @@ def test_layout_only_in_compose_and_powers():
             if LAYOUT & set(_names(f)):
                 users.add(getattr(f, "name", type(f).__name__))
     assert users == LAYOUT_USERS
+
+
+def test_no_indented_json_dumps():
+    """Every indented JSON text comes from ``cli._json_text``."""
+    calls = [f"{source.stem}:{node.lineno}" for source in SOURCES
+             for node in ast.walk(ast.parse(source.read_text(), filename=str(source)))
+             if isinstance(node, ast.Call) and getattr(node.func, "attr",
+                                                       getattr(node.func, "id", None)) == "dumps"
+             and any(k.arg == "indent" for k in node.keywords)]
+    assert calls == []

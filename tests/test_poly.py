@@ -328,6 +328,9 @@ class TestParsePrint:
         ("(x+y+z)^400", 8),
         ("(3^10000)^1000", 10),
         ("(3^10000)^10000", 10),
+        # a number's power: 13 million bits took 1.9 s, and 2000 digits 31 s
+        ("9" * 100 + "^10000", 101),
+        ("9" * 2000 + "^10000", 2001),
         # each power is within the bound, their product is not
         ("(x+y+z)^30*(x+y+z)^30", 10),
         ("(x+y+z)^100*(x+y+z)^100", 8),
@@ -355,6 +358,8 @@ class TestParsePrint:
         assert len(parse_poly("(x+y)^500", n=2).numerators) == 501
         assert len(parse_poly("(x+y+z)^20*(x+y+z)^20", n=3).numerators) == 861
         assert parse_poly("(3^10000)^100", n=1) == Polynomial.constant(1, 3 ** 1_000_000)
+        assert parse_poly("3^10000", n=1) == Polynomial.constant(1, 3 ** 10_000)
+        assert parse_poly("2/3^5", n=1) == Polynomial.constant(1, Fraction(32, 243))
         big = parse_poly("10^1000*(x + 10^3000*y^2)^2", n=2)
         assert big == Polynomial(2, {(2, 0): 10 ** 1000, (1, 2): 2 * 10 ** 4000,
                                      (0, 4): 10 ** 7000})

@@ -1,3 +1,4 @@
+import graphlib
 import json
 from fractions import Fraction
 from math import comb, gcd
@@ -5,10 +6,10 @@ from math import comb, gcd
 import pytest
 
 from tamedeg.classify import Status, classify
-from tamedeg.maps import gallery
-from tamedeg.poly import Polynomial
+from tamedeg.maps import PolyMap, elementary, gallery
+from tamedeg.poly import Polynomial, parse_poly
 from tamedeg.semigroup import SemigroupPair
-from tamedeg.witness import (ConstructionError, Witness, WitnessRecipe, build,
+from tamedeg.witness import (ConstructionError, Witness, WitnessRecipe, _is_generator, build,
                              build_469_family, build_4k2, build_sum_rule,
                              build_tab_tail, find_sum_rule, tab_tail_start,
                              verify_witness_json)
@@ -220,6 +221,17 @@ class TestPersistence:
                     if c.status == Status.REALIZABLE:
                         data = json.loads(json.dumps(build(c.witness_recipe).to_json()))
                         assert verify_witness_json(data), (d1, d2, d3)
+
+    def test_one_shifted_component_needs_no_topological_sort(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("sorted one shifted component")
+
+        cycle = PolyMap(tuple(parse_poly(c, n=3) for c in ("x + y^2", "y + x^2", "z")))
+        assert not _is_generator(cycle)  # two shifted components are sorted
+        monkeypatch.setattr(graphlib, "TopologicalSorter", refuse)
+        for factor in build_sum_rule((3, 4, 7), 2, [1, 1]).factors:
+            assert _is_generator(factor.map)
+        assert _is_generator(elementary(3, 1, parse_poly("1/2*x^3*z - 5", n=3)).map)
 
     def test_factorless_witness_fails_verification(self):
         # the target is the true mdeg of the named map, so only the missing
