@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Sequence
 
 from . import linalg, poly
@@ -109,6 +110,86 @@ def compose_all(maps: Sequence[PolyMap]) -> PolyMap:
     if any(m.n != n for m in maps):
         raise DimensionMismatch("dimension mismatch in composition")
     return PolyMap(tuple(poly._compose([m.components for m in maps])))
+
+
+def chain_mdeg(maps: Sequence[PolyMap]) -> tuple:
+    """``compose_all(maps).mdeg()``, read off leading forms from the
+    innermost map outwards, composing only on a cancellation.
+
+    Let G be the chain so far, its components of degrees d_j with leading
+    forms G_j', and f a component of the next map.  Let W be the largest
+    sum_j e_j * d_j over f's monomials z^e, and f_W the terms that reach
+    it.  Then f(G) = f_W(G') + terms of lower degree, so deg f(G) = W and
+    f_W(G') is its leading form, unless f_W(G') = 0: a cancellation, which
+    falls back to ``compose_all``, as does a zero innermost component.
+    A form is a list of (exps, numerator, denominator) terms.  When every
+    form that f_W uses is one term, f_W(G') takes exponent sums and int
+    products only; otherwise it is ``substitute``'s.  The outermost map
+    forms no f_W(G') of one term: a product of nonzero forms is not zero,
+    and no later map reads it."""
+    if not maps:
+        raise ValueError("need at least one map")
+    *outer, inner = maps
+    n = inner.n
+    if any(m.n != n for m in outer):
+        raise DimensionMismatch("dimension mismatch in composition")
+    degrees, forms = [], []
+    for c in inner.components:
+        if not c.numerators:
+            return compose_all(maps).mdeg()
+        d = max(map(sum, c.numerators))
+        den = c.denominator
+        degrees.append(d)
+        forms.append([(e, v, den) for e, v in c.numerators.items() if sum(e) == d])
+    units = identity(n).components
+    for k in range(len(outer) - 1, -1, -1):
+        next_degrees, next_forms = [], []
+        for c, unit, d, form in zip(outer[k].components, units, degrees, forms):
+            if c.denominator == 1 and c.numerators == unit.numerators:
+                next_degrees.append(d)  # x_i keeps its form
+                next_forms.append(form)
+                continue
+            top, w_top = [], -1
+            for e, v in c.numerators.items():
+                w = sum(map(mul, e, degrees))
+                if w > w_top:
+                    top, w_top = [(e, v)], w
+                elif w == w_top:
+                    top.append((e, v))
+            if not k and len(top) == 1:
+                next_degrees.append(w_top)  # one term of nonzero forms, never read
+                continue
+            form = _top_form(n, top, c.denominator, forms)
+            if not form:
+                return compose_all(maps).mdeg()
+            next_degrees.append(w_top)
+            next_forms.append(form)
+        degrees, forms = next_degrees, next_forms
+    return tuple(degrees)
+
+
+def _top_form(n: int, top: list, den: int, forms: list) -> list:
+    """The form f_W(G') of ``chain_mdeg`` for the terms ``top`` of f_W over
+    ``den``; empty when it vanishes."""
+    if not top:
+        return []
+    if any(len(forms[j]) > 1 for e, _ in top for j, k in enumerate(e) if k):
+        p = Polynomial._make(n, dict(top), den).substitute([poly._sum(n, f) for f in forms])
+    else:
+        images = []
+        for e, num in top:
+            exps, d = (0,) * n, den
+            for k, form in zip(e, forms):
+                if k:
+                    ((fe, fnum, fden),) = form
+                    exps = tuple(a + k * b for a, b in zip(exps, fe))
+                    num *= fnum ** k
+                    d *= fden ** k
+            images.append((exps, num, d))
+        if len(images) == 1:
+            return images
+        p = poly._sum(n, images)
+    return [(e, v, p.denominator) for e, v in p.numerators.items()]
 
 
 # ---------------------------------------------------------------------------

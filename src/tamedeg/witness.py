@@ -2,8 +2,11 @@
 
 Each builder returns a Witness: a chain of certified generators (elementary /
 affine factors with exact inverses) whose left-to-right composition has
-exactly the requested multidegree.  Builders verify the multidegree by exact
-composition before returning; a mismatch is an implementation bug and raises.
+exactly the requested multidegree.  Builders measure the chain's multidegree
+with ``maps.chain_mdeg`` before returning, which reads it off leading forms
+and composes the chain only where leading forms cancel (every chain of the
+cancellation recipes, none of the sum rule's); a mismatch is an
+implementation bug and raises.
 """
 from __future__ import annotations
 
@@ -14,7 +17,7 @@ from math import gcd, lcm
 from typing import Optional, Sequence
 
 from .linalg import SingularMatrixError
-from .maps import Factor, PolyMap, affine_factor, compose_all, elementary
+from .maps import Factor, PolyMap, affine_factor, chain_mdeg, elementary
 from .poly import Polynomial
 
 
@@ -37,12 +40,8 @@ class Witness:
     target: tuple[int, ...]
     recipe: WitnessRecipe
     factors: list[Factor]
-    composed: PolyMap
+    verified_mdeg: tuple[int, ...]
     cancellation_degree: Optional[int] = None
-
-    @property
-    def verified_mdeg(self) -> tuple:
-        return self.composed.mdeg()
 
     def to_json(self) -> dict:
         return {
@@ -53,13 +52,14 @@ class Witness:
 
 
 def _finish(target, recipe, factors, cancellation_degree=None) -> Witness:
-    composed = compose_all([f.map for f in factors])
-    w = Witness(tuple(target), recipe, list(factors), composed, cancellation_degree)
-    if w.verified_mdeg != tuple(target):
+    """The Witness of ``factors``, its mdeg measured by ``chain_mdeg``: read
+    off leading forms, and recomposed only where they cancel."""
+    mdeg = chain_mdeg([f.map for f in factors])
+    if mdeg != tuple(target):
         raise ConstructionError(
-            f"witness verification failed: built mdeg {w.verified_mdeg}, "
+            f"witness verification failed: built mdeg {mdeg}, "
             f"target {tuple(target)} (recipe {recipe})")
-    return w
+    return Witness(tuple(target), recipe, list(factors), mdeg, cancellation_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +258,10 @@ def _is_generator(m: PolyMap) -> bool:
 
 def verify_witness_json(data: dict) -> bool:
     """Check that every persisted factor is a tame generator (triangular, or
-    affine with an invertible linear part), then recompose the chain and
-    re-measure its multidegree.
+    affine with an invertible linear part), then re-measure the chain's
+    multidegree with ``chain_mdeg``.  That reads it off leading forms and
+    recomposes the chain only on a cancellation; a cancelling chain is
+    recomposed with no bound on the work.
 
     Raises ValueError when ``data`` does not have the witness JSON shape.
     """
@@ -275,4 +277,4 @@ def verify_witness_json(data: dict) -> bool:
     factors = [PolyMap.from_json(f) for f in factors]
     if not factors or not all(map(_is_generator, factors)):
         return False
-    return compose_all(factors).mdeg() == target
+    return chain_mdeg(factors) == target

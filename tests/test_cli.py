@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tamedeg import classify as classify_module
-from tamedeg import cli, reductions, semigroup
+from tamedeg import cli, maps, reductions, semigroup
 from tamedeg.classify import MAX_ENUMERATE, PRIME_TEST_BOUND
 from tamedeg.cli import EXIT_USAGE, main
 from tamedeg.maps import PolyMap, compose_all, elementary, gallery
@@ -146,6 +146,45 @@ class TestVerify:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "verify", "/nonexistent/w.json")
         assert code == EXIT_USAGE
+
+    def test_shear_chain_mismatch_without_composing(self, capsys, tmp_path, monkeypatch):
+        # alternating (x + y^16, y, z) and (x, y + x^16, z) has mdeg
+        # (16^4, 16^3, 1), read off leading forms: the composition, of degree
+        # 65536, is never formed
+        s, t = m3("x + y^16", "y", "z"), m3("x", "y + x^16", "z")
+        path = tmp_path / "shear.json"
+        path.write_text(json.dumps({"target": [1, 1, 1],
+                                    "factors": [m.to_json() for m in (s, t, s, t)]}))
+        monkeypatch.setattr(maps, "compose_all", refuse)
+        start = time.process_time()
+        assert run(capsys, "verify", str(path)) == (1, "MISMATCH\n", "")
+        assert time.process_time() - start < 0.5
+
+    @pytest.mark.parametrize("triple, kind, compositions", [
+        ((1, 1, 1), "sum_rule", 0),
+        ((1, 9, 60), "sum_rule", 0),
+        ((3, 3, 3), "sum_rule", 0),
+        ((5, 7, 24), "sum_rule", 0),
+        ((5, 6, 25), "sum_rule", 0),
+        ((4, 6, 13), "four_six", 1),
+        ((4, 10, 13), "tab_tail", 1),
+    ])
+    def test_only_cancelling_chains_compose(self, capsys, tmp_path, monkeypatch,
+                                            triple, kind, compositions):
+        # a sum-rule chain never cancels; a cancellation recipe's chain is
+        # composed once to build its witness and once to verify it
+        calls = []
+        compose_all = maps.compose_all
+        monkeypatch.setattr(maps, "compose_all",
+                            lambda chain: calls.append(chain) or compose_all(chain))
+        code, out, _ = run(capsys, "decide", *map(str, triple), "--witness", "--json")
+        data = json.loads(out)
+        assert (code, data["witness"]["recipe"]["kind"]) == (0, kind)
+        assert len(calls) == compositions
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(data["witness"]))
+        assert run(capsys, "verify", str(path)) == (0, "OK\n", "")
+        assert len(calls) == 2 * compositions
 
     @pytest.mark.parametrize("factors, expected", [
         # the Nagata map is not tame, though its mdeg is the target

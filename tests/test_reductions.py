@@ -7,7 +7,7 @@ from conftest import planted_map
 from tamedeg import linalg, poly, reductions
 from tamedeg.bracket import reduced_pair_report
 from tamedeg.linalg import solve_linear
-from tamedeg.maps import PolyMap, gallery
+from tamedeg.maps import PolyMap, compose_all, gallery
 from tamedeg.poly import Polynomial, parse_poly
 from tamedeg.reductions import (ReductionCandidate, bounded_reduction_search,
                                 check_elementary_reduction)
@@ -314,7 +314,7 @@ def test_cancelling_class_is_solved(monkeypatch):
     # cancels down to degree 1.  F_1 and F_2 are not reduced, and nothing is
     # solved for them.
     _, solves = count_search_work(monkeypatch)
-    m = build_469_family(0, 9).composed
+    m = compose_all([f.map for f in build_469_family(0, 9).factors])
     assert m.mdeg() == (4, 6, 9)
     cand = bounded_reduction_search(m, 2, 8, 40)
     assert cand.g == Polynomial(2, {(3, 0): -1, (0, 2): 1})
