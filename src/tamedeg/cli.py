@@ -238,7 +238,7 @@ def _cmd_gallery(args) -> int:
     try:
         m = gallery(args.name)
     except KeyError as exc:
-        raise _UsageError(str(exc))
+        raise _UsageError(exc.args[0])  # str() of a KeyError quotes it
     if args.mdeg:
         print(" ".join(str(d) for d in m.mdeg()))
     elif args.json:

@@ -36,8 +36,8 @@ one bound, ``_image_bound`` on the image of a monomial, checks both before
 they are formed.
 The tokenizer reads a canonical sum, such as ``x^2 - 3/4*x*y + 7`` spaced as
 ``format_poly`` prints it, as one token where it is a whole text or a whole
-parenthesis, and any other term written without spaces, such as
-``3/4*x^2*y``, as one token, so canonical text is one token.
+parenthesis, so canonical text is one token, and any other text one number,
+name or operator at a time.
 Canonical printing is graded-lexicographic descending with explicit ``*``
 and coefficient 1 suppressed; a coefficient with more digits than that
 limit cannot be printed and raises ``ValueError``.
@@ -595,10 +595,10 @@ MAX_RING_WORK = 2_000_000
 _int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 # Names and digit runs are maximal: the guards stop the regex from
-# backtracking into one, so a term token never ends inside a name, an
-# exponent or a coefficient.  A power inside a term token has an exponent of
-# fewer digits than MAX_EXPONENT, so it needs no limit test; a longer one
-# is read as a name and a ``^`` token.
+# backtracking into one, so a term of a sum token never ends inside a name,
+# an exponent or a coefficient.  A power inside a sum token has an exponent
+# of fewer digits than MAX_EXPONENT, so it needs no limit test; a sum with a
+# longer one is no sum token and is read a token at a time.
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")  # a variable name
 _NAME = rf"{NAME_RE.pattern}(?![A-Za-z_0-9])"
 _POWER = rf"{_NAME}(?:\^\d{{1,{len(str(MAX_EXPONENT)) - 1}}}(?![\d/]))?"
@@ -608,31 +608,24 @@ _SUMMAND = rf"(?:{_TERM}|\d+(?:/\d+)?)"
 # as ``format_poly`` prints it, from the text's start or a ``(`` (so a failed
 # try reads each sum once) to ``)`` or the end, each `` [-+] T`` matched in a
 # lookahead (2) and taken by backreference, an atomic group that keeps no
-# backtracking state per term; 3 a term ``c*m`` or ``m``, never followed by
-# ``^``; 4 a number; 5 a name; 6 ``^`` with 7 the digits of its exponent; 8
-# an operator; 9 any other character, so matches tile all but trailing blanks.
+# backtracking state per term; 3 a number; 4 a name; 5 an operator; 6 any
+# other character, so matches tile all but trailing blanks.
 _TOKEN_RE = re.compile(
-    rf"\s*(?:(?<![^(])(-?{_SUMMAND}(?:(?=( [-+] {_SUMMAND}))\2)*)(?=\)|\Z)|({_TERM})(?!\s*\^)"
-    rf"|(\d+/\d+|\d+)|({NAME_RE.pattern})|(\^(?:\s*(\d+)(?![\d/]))?)|([-+*()])|(\S))")
-_KINDS = {1: "sum", 3: "term", 4: "num", 5: "name", 8: "op"}
+    rf"\s*(?:(?<![^(])(-?{_SUMMAND}(?:(?=( [-+] {_SUMMAND}))\2)*)(?=\)|\Z)"
+    rf"|(\d+/\d+|\d+)|({NAME_RE.pattern})|([-+*^()])|(\S))")
+_KINDS = {1: "sum", 3: "num", 4: "name", 5: "op"}
 
 
 def _tokenize(text: str):
-    """``(kind, value, position, extra)`` tokens.  A ``^`` token's extra is
-    ``(digits, position)`` of its exponent, or None when no digits follow
-    it; a sum or term token's value is its text."""
+    """``(kind, value, position)`` tokens; a sum token's value is its text."""
     tokens = []
     append = tokens.append
     for m in _TOKEN_RE.finditer(text):
         k = m.lastindex
         if k == 6:
-            digits = m[7]
-            append(("op", "^", m.start(6), None if digits is None else (digits, m.start(7))))
-        elif k == 9:
-            raise ParseError(f"unexpected character {m[9]!r}", m.start())
-        else:
-            append((_KINDS[k], m[k], m.start(k), None))
-    append(("end", "", len(text), None))
+            raise ParseError(f"unexpected character {m[6]!r}", m.start())
+        append((_KINDS[k], m[k], m.start(k)))
+    append(("end", "", len(text)))
     return tokens
 
 
@@ -700,17 +693,13 @@ def _check_image(exps: Sequence[int], bases: Sequence[Polynomial], pos: int) -> 
 class _Parser:
     """Recursive descent over ``expr := ['+'|'-'] term (('+'|'-') term)*``,
     ``term := factor ('*' factor)*``, ``factor := '-' factor | atom ['^' int]``
-    and ``atom := number | name | '(' expr ')' | termtoken``.
+    and ``atom := number | name | '(' expr ')'``.
 
-    Canonical text is read a sum at a time.  A term token is a whole term
-    written without spaces, ``c*m`` or ``m`` with ``m`` a product of
-    variable powers ``v^e`` and ``c`` an integer or ``p/q``: a larger lexeme
-    of the same grammar, a product of factors that no ``^`` follows.  A sum
-    token is a larger one again, a whole ``expr`` of terms and numbers
-    spaced as ``format_poly`` prints it.  ``read_term`` decodes the term
-    tokens of ``factor`` and the terms of a sum in ``expr`` alike.  A ``^``
-    token takes the digits of its exponent, so no term token starts inside
-    an exponent: ``2^3*x`` is ``8*x``, not ``2^(3*x)``.
+    Canonical text is read a sum at a time: a sum token is a whole ``expr``
+    of terms ``c*m`` or ``m`` (``m`` a product of variable powers ``v^e``,
+    ``c`` an integer or ``p/q``) and numbers, spaced as ``format_poly``
+    prints it, and ``read_term`` decodes its terms in ``expr``.  Any other
+    text is read one number, name or operator at a time.
 
     A term of literals and variable powers is built as one monomial, and
     ``expr`` sums the terms' integer numerators with ``_sum``, so canonical
@@ -732,7 +721,7 @@ class _Parser:
 
     def expr(self) -> Polynomial:
         items = []
-        kind, val, pos, _ = self.tokens[self.i]
+        kind, val, pos = self.tokens[self.i]
         if kind == "sum":
             self.i += 1
             sign = 1
@@ -758,7 +747,7 @@ class _Parser:
             else:
                 exps, c = t
                 items.append((exps, sign * c.numerator, c.denominator))
-            kind, val, _, _ = self.tokens[self.i]
+            kind, val, _ = self.tokens[self.i]
             if not (kind == "op" and val in "+-"):
                 return _sum(self.n, items)
             self.i += 1
@@ -784,11 +773,11 @@ class _Parser:
             else:
                 _check_work(1, _bits(coeff) + _bits(f), star)
                 coeff *= f
-            kind, val, pos, _ = self.tokens[self.i]
+            kind, val, pos = self.tokens[self.i]
             if kind == "op" and val == "*":
                 self.i += 1
                 star = pos
-            elif kind in ("term", "num", "name") or (kind == "op" and val == "("):
+            elif kind in ("num", "name") or (kind == "op" and val == "("):
                 raise ParseError("implicit multiplication is not allowed", pos)
             elif poly is None:
                 return tuple(exps), coeff
@@ -798,8 +787,8 @@ class _Parser:
                 return poly * monomial
 
     def read_term(self, text: str, pos: int, exps: list[int]) -> Scalar:
-        """Decode a term token, or a number in a sum token, at ``pos``: add
-        its exponents into ``exps`` and return its coefficient (1 if none)."""
+        """Decode a term or number of a sum token at ``pos``: add its
+        exponents into ``exps`` and return its coefficient (1 if none)."""
         coeff = 1
         if text[0].isdecimal():  # as \d matches: any Unicode decimal digit
             num, _, text = text.partition("*")
@@ -823,10 +812,8 @@ class _Parser:
     def factor(self, exps: list[int]) -> "Scalar | Polynomial":
         """Parse one factor.  Variable powers are added into ``exps``; the
         scalar part is returned, or the Polynomial of a parenthesised one."""
-        kind, val, pos, extra = self.tokens[self.i]
+        kind, val, pos = self.tokens[self.i]
         self.i += 1
-        if kind == "term":
-            return self.read_term(val, pos, exps)
         var = None
         if kind == "op" and val in "(-":
             self.depth += 1
@@ -837,7 +824,7 @@ class _Parser:
                 self.depth -= 1
                 return base
             base = self.expr()
-            kind, val, pos, _ = self.tokens[self.i]
+            kind, val, pos = self.tokens[self.i]
             self.i += 1
             if not (kind == "op" and val == ")"):
                 raise ParseError("expected ')'", pos)
@@ -852,14 +839,12 @@ class _Parser:
             raise ParseError(
                 f"unexpected token {val!r}" if val else "unexpected end of input", pos)
         k = 1
-        kind, val, pos, extra = self.tokens[self.i]
+        kind, val, _ = self.tokens[self.i]
         if kind == "op" and val == "^":
-            self.i += 1
-            if extra is None:
-                # the '^' took no digits: what follows is no integer
-                pos = self.tokens[self.i][2]
+            kind, digits, pos = self.tokens[self.i + 1]
+            self.i += 2
+            if kind != "num" or "/" in digits:
                 raise ParseError("exponent must be a nonnegative integer", pos)
-            digits, pos = extra
             # the length test keeps int() off digit strings it refuses
             digits = digits.lstrip("0") or "0"
             if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
@@ -895,7 +880,7 @@ def parse_poly(text: str, varnames: Sequence[str] | None = None, n: int | None =
         for i in range(len(varnames)):
             parser.index.setdefault(f"x{i + 1}", i)
     result = parser.expr()
-    kind, val, pos, _ = parser.tokens[parser.i]
+    kind, val, pos = parser.tokens[parser.i]
     if kind != "end":
         raise ParseError(f"trailing input {val!r}", pos)
     return result

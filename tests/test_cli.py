@@ -265,6 +265,7 @@ class TestGallery:
     def test_unknown_name(self, capsys):
         code, _, err = run(capsys, "gallery", "nope")
         assert code == EXIT_USAGE
+        assert err == "usage error: unknown gallery map 'nope'\n"
 
 
 class TestAnalyze2:

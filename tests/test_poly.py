@@ -296,7 +296,7 @@ class TestParsePrint:
         ("(y^10000)^30", 10),  # a power of a parenthesised factor
         ("(x*y^5000)^3", 11),
         ("y^10000*y", 8),  # exponents added inside a term
-        ("x + y^9999*x*y^2", 13),  # inside one term token
+        ("x + y^9999*x*y^2", 13),  # inside one term of a sum token
         ("2*y^7000*x*y^4000", 11),
         ("(y^6000 + 1)*(y^6000 + 1)", 12),  # a product of two factors
         ("(y^5000)*y^5001", 15),  # a term's factor and its monomial

@@ -1,10 +1,9 @@
-"""Differential tests of ``parse_poly`` against the token-at-a-time parser
-it replaced.
+"""Differential tests of ``parse_poly`` against a token-at-a-time parser.
 
-``poly._tokenize`` reads a whole term written without spaces as one token,
-and a ``^`` together with the digits of its exponent.  The reference below
-is the earlier tokenizer and parser: one token per number, name and
-operator, and one ``factor`` call per token.  It imports the limits, the
+``poly._tokenize`` reads a canonical sum, spaced as ``format_poly`` prints
+it, as one token, and any other text one number, name or operator at a
+time.  The reference below reads every text one token per number, name and
+operator, with one ``factor`` call per token.  It imports the limits, the
 ``ParseError`` class and ``_sum`` from the present module, and it refuses a
 variable's exponent above ``MAX_EXPONENT`` at the same points as
 ``parse_poly``: where a variable power is added into a term (at the
@@ -32,7 +31,7 @@ from tamedeg.poly import (MAX_EXPONENT, MAX_NESTING, NAME_RE, ParseError,
                           Polynomial, _int_max_str_digits, _sum,
                           default_varnames, format_poly, parse_poly)
 
-# -- oracle: the parser that read one number, name or operator at a time ---
+# -- oracle: the parser that reads one number, name or operator at a time --
 
 # The last group catches any other character, so the matches tile the text
 # up to trailing whitespace.
@@ -220,9 +219,9 @@ def assert_same(text, varnames=None, n=None):
 
 
 NAMED = [
-    "2^3*x",  # a term token never starts inside an exponent: 8*x
-    "x^ 2*y",  # '^' takes the digits after whitespace
-    "x*y^ 3",  # a term token never ends before '^'
+    "2^3*x",  # the exponent is one number token: 8*x
+    "x^ 2*y",  # whitespace may follow '^'
+    "x*y^ 3",  # y^3, not (x*y)^3
     "x*y^2^3",  # trailing input '^' (at position 5)
     "x^2/3",  # a fraction is no exponent
     "x^-1",
@@ -232,7 +231,7 @@ NAMED = [
     "y^ $",  # the tokenizer's error comes first
     "x*x2",  # x2 is the default alias of y
     "x^" + "9" * 5000,  # exponent larger than MAX_EXPONENT, not a digit limit
-    "x^10000*y",  # a five-digit exponent is read by the '^' token
+    "x^10000*y",  # a five-digit exponent is never in a sum token
     "x^10001*y",
     "x^00007*y^0*z",
     "1/0*q",  # the coefficient is read before the monomial
@@ -339,6 +338,7 @@ def mutations(rng, text, name):
     yield "(- " + text.lstrip("-") + ")"
     yield "(" + text + ")"
     yield "(" + text + ")^2"
+    yield text.replace(" ", "")  # read a token at a time
     yield _replace_digit(rng, text, "٠")  # Arabic-Indic digits
     yield _replace_digit(rng, text, "０")  # fullwidth digits
     yield text.replace("^", "^0000", 1) if "^" in text else text + f" - {name}^00002"
@@ -417,16 +417,20 @@ def _long_text(rng, count):
     return format_poly(Polynomial(3, terms))
 
 
-@pytest.mark.parametrize("tail", ["*", "$"])
-def test_failed_sum_token_is_linear(tail):
+@pytest.mark.parametrize("tail, spaces", [
+    pytest.param("*", " ", id="*"), pytest.param("$", " ", id="$"),
+    pytest.param("*", "", id="no-spaces-*")])
+def test_failed_sum_token_is_linear(tail, spaces):
     """A canonical text that fails at its last character costs the sum
     token one failed try, so time stays linear in the length: 20,000 terms
     take about 10 times as long as 2,000 (quadratic time would take about
-    100 times).  The bound is 30 times, and the error is the oracle's."""
+    100 times).  With its spaces removed it is read a token at a time, in
+    linear time as well.  The bound is 30 times, and the error is the
+    oracle's."""
     rng = random.Random(9)
     times = []
     for count in (2_000, 20_000):
-        text = _long_text(rng, count) + tail
+        text = _long_text(rng, count).replace(" ", spaces) + tail
         spent, error = _cpu_seconds(text)
         assert error == outcome(oracle_parse, text, None, 3)[len("ParseError: "):]
         times.append(spent)
