@@ -2,9 +2,11 @@
 
 For f, g in n variables, deg[f,g] is 2 plus the maximal total degree of the
 2x2 Jacobian minors of (f,g); it is NEG_INF exactly when f and g are
-algebraically dependent.  The star-reduced predicate, the composition
-degree lower bound and ``cancel_top``, the one test of whether a form is a
-multiple of another (plane peeling uses it too), live here too.
+algebraically dependent, and deg f + deg g exactly when their leading forms
+are independent: the minors' parts of degree deg f + deg g - 2 are the
+forms' minors.  The star-reduced predicate, the composition degree lower
+bound and ``cancel_top``, the one test of whether a form is a multiple of
+another (plane peeling uses it too), live here too.
 """
 from __future__ import annotations
 
@@ -93,8 +95,8 @@ def reduced_pair_report(f: Polynomial, g: Polynomial) -> ReducedPairReport:
         raise ValueError("inputs must be nonconstant")
     bracket_degree = poisson_degree(f, g)
     independent = bracket_degree != NEG_INF
+    dependent_forms = bracket_degree < f.total_degree() + g.total_degree()
     fbar, gbar = f.leading_form(), g.leading_form()
-    dependent_forms = poisson_degree(fbar, gbar) == NEG_INF
     f_in_g = is_power_proportional(fbar, gbar) is not None
     g_in_f = is_power_proportional(gbar, fbar) is not None
     star = independent and dependent_forms and not f_in_g and not g_in_f

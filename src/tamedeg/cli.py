@@ -220,13 +220,14 @@ def _cmd_semigroup(args) -> int:
         payload["gaps"] = pair.gaps(args.min_k)
     if args.json:
         print(_json_text(payload))
-    elif args.k is not None:
+        return 0
+    if args.k is not None:
         dec = payload["decomposition"]
         if dec is None:
             print(f"{args.k}: not a member")
         else:
             print(f"{args.k} = {dec[0]}*{pair.d1} + {dec[1]}*{pair.d2}")
-    else:
+    if list_gaps:
         print(",".join(str(g) for g in payload["gaps"]))
     return 0
 

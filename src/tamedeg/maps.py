@@ -43,9 +43,6 @@ class PolyMap:
     def mdeg(self) -> tuple:
         return tuple(c.total_degree() for c in self.components)
 
-    def deg(self):
-        return max(self.mdeg())
-
     def jacobian_determinant(self) -> Polynomial:
         def det(rows):  # cofactor expansion along the first row
             if len(rows) < 2:

@@ -740,22 +740,17 @@ class _Parser:
         if kind == "op" and val in "+-":
             self.i += 1
         while True:
-            t = self.term()
-            if isinstance(t, Polynomial):
-                den = t.denominator
-                items.extend((exps, sign * v, den) for exps, v in t.numerators.items())
-            else:
-                exps, c = t
-                items.append((exps, sign * c.numerator, c.denominator))
+            items.extend((exps, sign * v, den) for exps, v, den in self.term())
             kind, val, _ = self.tokens[self.i]
             if not (kind == "op" and val in "+-"):
                 return _sum(self.n, items)
             self.i += 1
             sign = -1 if val == "-" else 1
 
-    def term(self) -> "tuple[tuple[int, ...], Scalar] | Polynomial":
-        """One ``(exponents, coefficient)`` pair, or a Polynomial when the
-        term has a parenthesised factor."""
+    def term(self) -> list[tuple[tuple[int, ...], int, int]]:
+        """The term's ``(exponents, numerator, denominator)`` items: one for a
+        monomial term, and the product's terms when it has a parenthesised
+        factor."""
         exps = [0] * self.n
         coeff = 1
         poly = None
@@ -780,11 +775,12 @@ class _Parser:
             elif kind in ("num", "name") or (kind == "op" and val == "("):
                 raise ParseError("implicit multiplication is not allowed", pos)
             elif poly is None:
-                return tuple(exps), coeff
+                return [(tuple(exps), coeff.numerator, coeff.denominator)]
             else:
                 monomial = Polynomial.monomial(self.n, exps, coeff)
                 _check_image((1, 1), (poly, monomial), pos)
-                return poly * monomial
+                poly *= monomial
+                return [(e, v, poly.denominator) for e, v in poly.numerators.items()]
 
     def read_term(self, text: str, pos: int, exps: list[int]) -> Scalar:
         """Decode a term or number of a sum token at ``pos``: add its

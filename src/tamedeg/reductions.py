@@ -24,12 +24,12 @@ from .poly import NEG_INF, Polynomial, _layout, _mul_packed, _pack, _power_row
 # without limit in the bound.
 MAX_DEG_BOUND = 40
 
-# The most cells a search may set up, summed over the Y-degree classes it
-# solves: each class's columns times the monomials of degree from deg F_i up
-# to the bound, which bounds that class's rows.  Within MAX_DEG_BOUND a
-# search of linear components that set up every class would reach
-# 293,951,140 cells (it took 87 s of CPU on a shared 2-CPU machine); no
-# search of the benchmark sets up more than 259,077.
+# The most cells a search may eliminate, summed over the Y-degree classes it
+# sets up: each class solves the system grown so far, its columns times at
+# most the monomials of degree from deg F_i up to the bound.  Within
+# MAX_DEG_BOUND a search of linear components that set up every class would
+# reach 293,951,140 cells (it took 87 s of CPU on a shared 2-CPU machine);
+# no search of the benchmark sets up more than 259,077.
 MAX_SEARCH_CELLS = 4_000_000
 
 
@@ -120,14 +120,22 @@ def bounded_reduction_search(f_map: PolyMap, i: int, degy_bound: int,
     # built.  Powers of Y = hi, and the products X^s Y^t, are built when a
     # class that is not skipped first reads them; a class solved at t_max = 0
     # builds no power of Y.  No product has a constant factor: a product with
-    # exponent 0 on one side is the other side's power itself.  Of each
-    # product only its monomials of degree >= deg F_i are kept for the later
-    # classes.
+    # exponent 0 on one side is the other side's power itself.
+    #
+    # One system grows over the search: a sparse row, keyed by its packed
+    # key, per monomial of degree >= deg F_i to kill in F_i - sum c_m X^s Y^t.
+    # Class t_max has class t_max - 1's columns, then the products X^s Y^t_max,
+    # so each class enters only the columns past ``entered``, each product
+    # once; F_i's rows follow the first class's.  Column m holds product m's
+    # numerators and the right-hand side F_i's, so the solution is c_m scaled
+    # by den(F_i) / (den(X)^s den(Y)^t); scaling columns keeps the pivots.  A
+    # product of degree below deg F_i is in no row: its c_m is free and 0.
     one, x, y = {0: 1}, packed(lo), packed(hi)
     pow_lo = None
     pow_hi = [one, y]
-    tops: dict[tuple[int, int], list[tuple[int, int]]] = {}
     top = {key: v for key, v in packed(target).items() if key >= floor}
+    rows: dict[int, dict[int, int]] = {}
+    entered = 0
 
     for t_max in range(min(degy_bound, deg_bound // d_hi) + 1):
         if prune is not None and prune(t_max):
@@ -146,25 +154,18 @@ def bounded_reduction_search(f_map: PolyMap, i: int, degy_bound: int,
             pow_lo = [one, *_power_row(x, range(1, max(1, deg_bound // d_lo) + 1)).values()]
         while len(pow_hi) <= t_max:
             pow_hi.append(_mul_packed(pow_hi[-1], y))
-        # Kill every monomial of degree >= deg F_i in F_i - sum c_m X^s Y^t:
-        # one sparse row per such monomial, keyed by its packed key.  Column
-        # m holds the numerators of product m and the right-hand side those
-        # of F_i, so the system's solution is c_m scaled by
-        # den(F_i) / (den(X)^s den(Y)^t); scaling columns keeps the pivots.
-        # A product of degree s*d_lo + t*d_hi below deg F_i has no entry in
-        # any row: its c_m is free and 0.
-        rows: dict[int, dict[int, int]] = {}
-        for col, (s, t) in enumerate(support):
+        for col, (s, t) in enumerate(support[entered:], entered):
             if s * d_lo + t * d_hi < d_target:
                 continue
-            if (s, t) not in tops:
-                p = (pow_hi[t] if not s else pow_lo[s] if not t
-                     else _mul_packed(pow_lo[s], pow_hi[t]))
-                tops[s, t] = [(key, v) for key, v in p.items() if key >= floor]
-            for key, v in tops[s, t]:
-                rows.setdefault(key, {})[col] = v
-        for key in top:
-            rows.setdefault(key, {})
+            p = (pow_hi[t] if not s else pow_lo[s] if not t
+                 else _mul_packed(pow_lo[s], pow_hi[t]))
+            for key, v in p.items():
+                if key >= floor:
+                    rows.setdefault(key, {})[col] = v
+        if not entered:
+            for key in top:
+                rows.setdefault(key, {})
+        entered = len(support)
         solution = solve_linear(list(rows.values()), [top.get(key, 0) for key in rows],
                                 len(support))
         if solution is None:

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from tamedeg import bracket
 from tamedeg.bracket import (is_power_proportional, jac_minor, poisson_degree,
                              reduced_pair_report, su_lower_bound)
 from tamedeg.maps import affine, compose_all, elementary
@@ -71,6 +72,8 @@ class TestPoissonDegree:
             # equality exactly when the leading forms are independent
             forms_indep = poisson_degree(
                 f.leading_form(), g.leading_form()) != NEG_INF
+            # the report reads the same dependence off deg [f, g]
+            assert reduced_pair_report(f, g).leading_forms_dependent == (not forms_indep)
             if forms_indep:
                 assert d == bound
                 checked_eq += 1
@@ -133,6 +136,15 @@ class TestReducedPair:
         assert report.bracket_degree == 2
         assert not report.leading_forms_dependent
         assert not report.is_star_reduced
+
+    def test_one_bracket_per_report(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(bracket, "poisson_degree",
+                            lambda f, g: calls.append(1) or poisson_degree(f, g))
+        # deg [f, g] = 4 < deg f + deg g = 5: the forms y^2, y^3 are dependent
+        report = reduced_pair_report(p("x + y^2"), p("y^3 + z"))
+        assert calls == [1]
+        assert report.leading_forms_dependent and report.bracket_degree == 4
 
     def test_rejects_constants(self):
         with pytest.raises(ValueError):

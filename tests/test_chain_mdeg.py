@@ -99,8 +99,8 @@ def chains(draw):
             budget //= degree
             factor = draw(elementary_factors(n, degree))
         chain.append(factor.map)
-        if draw(st.integers(0, 2)) == 0 and factor.map.deg() <= budget:
-            budget //= factor.map.deg()
+        if draw(st.integers(0, 2)) == 0 and max(factor.map.mdeg()) <= budget:
+            budget //= max(factor.map.mdeg())
             chain.append(factor.inverse)
     if len(chain) == 1:
         chain.append(draw(affine_factors(n)).map)

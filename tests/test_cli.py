@@ -217,6 +217,11 @@ class TestSemigroup:
         assert code == 0
         assert "24 =" in out
 
+    def test_membership_with_gaps(self, capsys):
+        # text mode prints the membership line, then the gaps --gaps asked for
+        code, out, _ = run(capsys, "semigroup", "5", "7", "--k", "3", "--gaps")
+        assert (code, out) == (0, "3: not a member\n1,2,3,4,6,8,9,11,13,16,18,23\n")
+
     def test_json(self, capsys):
         code, out, _ = run(capsys, "semigroup", "5", "7", "--json")
         data = json.loads(out)

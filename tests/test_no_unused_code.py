@@ -4,15 +4,19 @@ layout is used outside ``poly`` only where listed.
 
 A definition counts as used when some code in ``src/tamedeg`` outside the
 definition itself names it: as a name, as an attribute or in a
-``from ... import``.  Code that only tests call is deleted, or listed in
-ALLOWED with the reason it stays.  Substitution, composition and products
-run through ``poly._compose`` and powers through ``poly._powers``, the only
-functions of ``poly`` that lay out, pack or unpack; a module outside ``poly``
-that names the packing helpers is listed in PACKING_ALLOWED with the reason
-it keeps its own packed loop.  An import that its module does not refer to
-(``__all__`` counts) is deleted, or listed in IMPORTS_ALLOWED with the reason
-it stays.  Indented JSON is printed by one writer, ``cli._json_text``, not
-by ``json.dumps(..., indent=...)``, which CPython encodes in pure Python.
+``from ... import``.  A method or property of a runtime class counts as used
+when ``src/tamedeg`` reads it as an attribute outside its own body; dunders
+and the overrides in OVERRIDES, which their base class calls, are exempt.
+Code that only tests call is deleted, or listed in ALLOWED or
+METHODS_ALLOWED with the reason it stays.  Substitution, composition and
+products run through ``poly._compose`` and powers through ``poly._powers``,
+the only functions of ``poly`` that lay out, pack or unpack; a module outside
+``poly`` that names the packing helpers is listed in PACKING_ALLOWED with the
+reason it keeps its own packed loop.  An import that its module does not
+refer to (``__all__`` counts) is deleted, or listed in IMPORTS_ALLOWED with
+the reason it stays.  Indented JSON is printed by one writer,
+``cli._json_text``, not by ``json.dumps(..., indent=...)``, which CPython
+encodes in pure Python.
 """
 import ast
 from collections import defaultdict
@@ -25,6 +29,14 @@ ALLOWED = {
     "plane.length_bound": "to check the length of every decomposition",
     "plane.inverse_mdeg_prediction": "to check mdeg of every inverse",
 }
+
+METHODS_ALLOWED = {
+    "poly.Polynomial.terms":
+        "bench/spans.py and tests/test_kernel_oracle.py read it; it can go once "
+        "the bench counts from numerators and denominator",
+}
+
+OVERRIDES = {"cli._Parser.error"}  # argparse.ArgumentParser calls it
 
 IMPORTS_ALLOWED = {
     "plane.is_power_proportional":
@@ -76,6 +88,32 @@ def unused_definitions() -> list[str]:
 def test_every_definition_is_used():
     """An entry leaves ALLOWED once the runtime uses it."""
     assert sorted(unused_definitions()) == sorted(ALLOWED)
+
+
+def unused_methods() -> list[str]:
+    """``module.Class.name`` of each method or property of a top-level class
+    that no code outside its own body reads as an attribute."""
+    methods, sites = [], defaultdict(set)  # sites: attribute -> where it is read
+    for source in SOURCES:
+        module = source.stem
+        for node in ast.parse(source.read_text(), filename=str(source)).body:
+            cls = node.name if isinstance(node, ast.ClassDef) else None
+            for member in node.body if cls else [node]:
+                site = None
+                if cls and isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    site = f"{module}.{cls}.{member.name}"
+                    if not member.name.startswith("__"):
+                        methods.append((member.name, site))
+                for sub in ast.walk(member):
+                    if isinstance(sub, ast.Attribute):
+                        sites[sub.attr].add(site)
+    return [site for name, site in methods
+            if not sites[name] - {site} and site not in OVERRIDES]
+
+
+def test_every_method_is_used():
+    """An entry leaves METHODS_ALLOWED once the runtime reads it."""
+    assert sorted(unused_methods()) == sorted(METHODS_ALLOWED)
 
 
 def unused_imports() -> list[str]:

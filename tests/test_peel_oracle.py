@@ -70,7 +70,7 @@ def oracle_peel_chain(f_map: PolyMap) -> Decomposition:
     raw_head: list = []  # leading affine pieces ('aff' or 'swap')
     raw_tris: list[Polynomial] = []  # f_i in variable x, all of form (x, y+f(x))
     g = f_map
-    guard = int(max(g.deg(), 1)) ** 2 + 10
+    guard = int(max(*g.mdeg(), 1)) ** 2 + 10
     steps = 0
     while not _is_affine(g):
         steps += 1

@@ -245,6 +245,17 @@ def test_search_cells_estimate(monkeypatch):
         bounded_reduction_search(m, 2, 2, 4)
 
 
+def test_unreached_monomial_of_target_leaves_every_class_unsolved(monkeypatch):
+    # x*z, of degree deg F_0, lies in no product y^s z^t: F_0's own row for it
+    # leaves every class's system without a solution, so no candidate is
+    # formed or checked
+    def refuse(*args):
+        raise AssertionError("a candidate was checked")
+    monkeypatch.setattr(reductions, "check_elementary_reduction", refuse)
+    m = PolyMap((p("y^2 + x*z"), p("y"), p("z")))
+    assert bounded_reduction_search(m, 0, 3, 6) is None
+
+
 def test_search_solved_early_is_not_refused():
     # (x + y^2, y, z) is solved by X^2 in the class of Y-degree 0: 41
     # products x 12,337 monomials of degree 2 to 40.  The class of Y-degree
